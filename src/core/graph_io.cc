@@ -1,159 +1,50 @@
 #include "core/graph_io.h"
 
-#include <cstring>
-#include <tuple>
-
-#include "core/crc32c.h"
+#include "core/binary_format.h"
 
 namespace weavess {
 
 namespace {
 
-// Explicit little-endian encoding: the format is byte-defined, not
-// struct-defined, so it round-trips across architectures.
-void PutU32(std::string* out, uint32_t v) {
-  char bytes[4];
-  bytes[0] = static_cast<char>(v & 0xFF);
-  bytes[1] = static_cast<char>((v >> 8) & 0xFF);
-  bytes[2] = static_cast<char>((v >> 16) & 0xFF);
-  bytes[3] = static_cast<char>((v >> 24) & 0xFF);
-  out->append(bytes, 4);
-}
+constexpr Prologue kGraphPrologue{
+    {kGraphMagic, sizeof(kGraphMagic)}, "graph file", kGraphHeaderBytes,
+    kGraphFormatVersion, kGraphFormatVersion,
+    ", or a pre-versioning legacy file"};
 
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v & 0xFFFFFFFFu));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-uint32_t GetU32(std::string_view bytes, size_t offset) {
-  const auto* p = reinterpret_cast<const uint8_t*>(bytes.data() + offset);
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
-uint64_t GetU64(std::string_view bytes, size_t offset) {
-  return static_cast<uint64_t>(GetU32(bytes, offset)) |
-         static_cast<uint64_t>(GetU32(bytes, offset + 4)) << 32;
-}
-
-std::string Hex(uint32_t v) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "0x%08x", v);
-  return buf;
-}
-
-Status CorruptionAt(uint64_t byte_offset, const std::string& what) {
-  return Status::Corruption(what + " at byte offset " +
-                            std::to_string(byte_offset));
-}
-
-// Section sizes derived from the (validated) header fields.
+// Section positions derived from the (validated) header fields.
 struct Layout {
-  uint64_t offsets_begin;  // payload start of the offsets section
-  uint64_t offsets_len;    // (n + 1) * 8
-  uint64_t payload_begin;
-  uint64_t payload_len;  // num_edges * 4
-  uint64_t metadata_begin;
-  uint64_t metadata_len;
-  uint64_t total;  // expected file size
+  Layout(uint64_t n, uint64_t e, uint64_t m)
+      : offsets_len((n + 1) * 8),
+        payload_begin(kGraphHeaderBytes + offsets_len + 4),
+        payload_len(e * 4),
+        metadata_begin(payload_begin + payload_len + 4),
+        metadata_len(m),
+        total(metadata_begin + metadata_len + 4) {}
 
-  static Layout For(uint64_t n, uint64_t e, uint64_t m) {
-    Layout l;
-    l.offsets_begin = kGraphHeaderBytes;
-    l.offsets_len = (n + 1) * 8;
-    l.payload_begin = l.offsets_begin + l.offsets_len + 4;
-    l.payload_len = e * 4;
-    l.metadata_begin = l.payload_begin + l.payload_len + 4;
-    l.metadata_len = m;
-    l.total = l.metadata_begin + l.metadata_len + 4;
-    return l;
-  }
+  uint64_t offsets_len, payload_begin, payload_len, metadata_begin,
+      metadata_len, total;
 };
 
-// Parses and validates the fixed 32-byte prologue. On success fills the
-// counts; reports the header section into `report` when non-null.
-Status CheckHeader(std::string_view bytes, uint32_t* version,
-                   uint32_t* num_vertices, uint64_t* num_edges,
-                   uint32_t* metadata_len,
-                   std::vector<GraphSectionReport>* report) {
-  if (bytes.size() < kGraphHeaderBytes) {
-    return Status::Corruption(
-        "file too small: " + std::to_string(bytes.size()) +
-        " bytes, a graph file needs at least " +
-        std::to_string(kGraphHeaderBytes));
-  }
-  if (std::memcmp(bytes.data(), kGraphMagic, sizeof(kGraphMagic)) != 0) {
-    return CorruptionAt(0,
-                        "bad magic (not a weavess graph file, or a "
-                        "pre-versioning legacy file)");
-  }
-  const uint32_t stored_crc = GetU32(bytes, kGraphHeaderBytes - 4);
-  const uint32_t computed_crc =
-      Crc32c(bytes.data(), kGraphHeaderBytes - 4);
-  if (report != nullptr) {
-    report->push_back({"header", 0, kGraphHeaderBytes - 4, stored_crc,
-                       computed_crc, stored_crc == computed_crc});
-  }
-  if (stored_crc != computed_crc) {
-    return CorruptionAt(kGraphHeaderBytes - 4,
-                        "header CRC mismatch: stored " + Hex(stored_crc) +
-                            ", computed " + Hex(computed_crc));
-  }
-  *version = GetU32(bytes, 8);
-  if (*version != kGraphFormatVersion) {
-    return Status::NotSupported(
-        "graph format version " + std::to_string(*version) +
-        "; this build reads version " + std::to_string(kGraphFormatVersion));
-  }
-  *num_vertices = GetU32(bytes, 12);
-  *num_edges = GetU64(bytes, 16);
-  *metadata_len = GetU32(bytes, 24);
-  if (*metadata_len > kMaxGraphMetadataBytes) {
+// Shared by DeserializeGraph and VerifyGraphBytes (which passes `sections`):
+// validates the whole buffer into `file`, materializing `graph_out` if set.
+Status ParseGraph(std::string_view bytes, GraphFileReport* file,
+                  std::vector<SectionReport>* sections, Graph* graph_out) {
+  WEAVESS_ASSIGN_OR_RETURN(
+      ByteCursor header,
+      CheckPrologue(bytes, kGraphPrologue, &file->version, sections));
+  uint32_t metadata_len = 0;
+  WEAVESS_RETURN_IF_ERROR(header.U32("num_vertices", &file->num_vertices));
+  WEAVESS_RETURN_IF_ERROR(header.U64("num_edges", &file->num_edges));
+  WEAVESS_RETURN_IF_ERROR(header.U32("metadata length", &metadata_len));
+  const uint32_t n = file->num_vertices;
+  const uint64_t e = file->num_edges;
+  if (metadata_len > kMaxGraphMetadataBytes) {
     return CorruptionAt(24, "metadata length " +
-                                std::to_string(*metadata_len) +
+                                std::to_string(metadata_len) +
                                 " exceeds the " +
                                 std::to_string(kMaxGraphMetadataBytes) +
                                 "-byte cap");
   }
-  return Status::OK();
-}
-
-// Verifies one trailing-CRC section; appends to `report` when non-null.
-Status CheckSection(std::string_view bytes, const char* name, uint64_t begin,
-                    uint64_t len,
-                    std::vector<GraphSectionReport>* report) {
-  const uint32_t stored_crc = GetU32(bytes, begin + len);
-  const uint32_t computed_crc = Crc32c(bytes.data() + begin, len);
-  if (report != nullptr) {
-    report->push_back(
-        {name, begin, len, stored_crc, computed_crc,
-         stored_crc == computed_crc});
-  }
-  if (stored_crc != computed_crc) {
-    return CorruptionAt(begin + len,
-                        std::string(name) + " section CRC mismatch: stored " +
-                            Hex(stored_crc) + ", computed " +
-                            Hex(computed_crc));
-  }
-  return Status::OK();
-}
-
-// Shared by DeserializeGraph and VerifyGraphBytes: structural validation of
-// the whole byte buffer. When `graph_out` is non-null, the adjacency lists
-// are materialized into it.
-Status ParseGraph(std::string_view bytes, Graph* graph_out,
-                  std::string* metadata, uint32_t* version_out,
-                  uint32_t* num_vertices_out, uint64_t* num_edges_out,
-                  std::vector<GraphSectionReport>* report) {
-  uint32_t version = 0;
-  uint32_t n = 0;
-  uint64_t e = 0;
-  uint32_t metadata_len = 0;
-  WEAVESS_RETURN_IF_ERROR(
-      CheckHeader(bytes, &version, &n, &e, &metadata_len, report));
-  if (version_out != nullptr) *version_out = version;
-  if (num_vertices_out != nullptr) *num_vertices_out = n;
-  if (num_edges_out != nullptr) *num_edges_out = e;
 
   // Overflow guard: the payload alone must fit in the file before any
   // e * 4 arithmetic happens (a hostile u64 edge count must not wrap the
@@ -163,7 +54,7 @@ Status ParseGraph(std::string_view bytes, Graph* graph_out,
                                 " cannot fit in a " +
                                 std::to_string(bytes.size()) + "-byte file");
   }
-  const Layout layout = Layout::For(n, e, metadata_len);
+  const Layout layout(n, e, metadata_len);
   if (layout.total != bytes.size()) {
     return Status::Corruption(
         "file size mismatch: header promises " +
@@ -172,41 +63,34 @@ Status ParseGraph(std::string_view bytes, Graph* graph_out,
         std::to_string(metadata_len) + " metadata bytes), file has " +
         std::to_string(bytes.size()));
   }
-
-  // In verify mode (report != nullptr) keep checking later sections after a
-  // failure so the CLI can print a complete per-section diagnosis; the
-  // first error is still the returned status.
-  Status section_status = CheckSection(bytes, "offsets", layout.offsets_begin,
-                                       layout.offsets_len, report);
-  if (!section_status.ok() && report == nullptr) return section_status;
-  for (const auto& [name, begin, len] :
-       {std::tuple("payload", layout.payload_begin, layout.payload_len),
-        std::tuple("metadata", layout.metadata_begin, layout.metadata_len)}) {
-    const Status s = CheckSection(bytes, name, begin, len, report);
-    if (section_status.ok()) section_status = s;
-    if (!section_status.ok() && report == nullptr) return section_status;
-  }
-  WEAVESS_RETURN_IF_ERROR(section_status);
+  WEAVESS_RETURN_IF_ERROR(CheckSections(
+      bytes,
+      {{"offsets", kGraphHeaderBytes, layout.offsets_len},
+       {"payload", layout.payload_begin, layout.payload_len},
+       {"metadata", layout.metadata_begin, layout.metadata_len}},
+      sections));
 
   // Offset table: offsets[0] == 0, non-decreasing, offsets[n] == num_edges.
-  uint64_t prev = GetU64(bytes, layout.offsets_begin);
+  const char* offsets = bytes.data() + kGraphHeaderBytes;
+  const char* payload = bytes.data() + layout.payload_begin;
+  uint64_t prev = LoadU64(offsets);
   if (prev != 0) {
-    return CorruptionAt(layout.offsets_begin,
+    return CorruptionAt(kGraphHeaderBytes,
                         "adjacency offsets must start at 0, found " +
                             std::to_string(prev));
   }
   for (uint64_t v = 1; v <= n; ++v) {
-    const uint64_t pos = layout.offsets_begin + v * 8;
-    const uint64_t cur = GetU64(bytes, pos);
+    const uint64_t cur = LoadU64(offsets + v * 8);
     if (cur < prev) {
-      return CorruptionAt(pos, "adjacency offsets decrease (" +
-                                   std::to_string(cur) + " after " +
-                                   std::to_string(prev) + ")");
+      return CorruptionAt(kGraphHeaderBytes + v * 8,
+                          "adjacency offsets decrease (" +
+                              std::to_string(cur) + " after " +
+                              std::to_string(prev) + ")");
     }
     prev = cur;
   }
   if (prev != e) {
-    return CorruptionAt(layout.offsets_begin + static_cast<uint64_t>(n) * 8,
+    return CorruptionAt(kGraphHeaderBytes + static_cast<uint64_t>(n) * 8,
                         "adjacency offsets end at " + std::to_string(prev) +
                             " but the header promises " + std::to_string(e) +
                             " edges");
@@ -214,32 +98,29 @@ Status ParseGraph(std::string_view bytes, Graph* graph_out,
 
   // Payload: every neighbor id must be a valid vertex.
   for (uint64_t i = 0; i < e; ++i) {
-    const uint64_t pos = layout.payload_begin + i * 4;
-    const uint32_t id = GetU32(bytes, pos);
+    const uint32_t id = LoadU32(payload + i * 4);
     if (id >= n) {
-      return CorruptionAt(pos, "neighbor id " + std::to_string(id) +
-                                   " out of range for " + std::to_string(n) +
-                                   " vertices");
+      return CorruptionAt(layout.payload_begin + i * 4,
+                          "neighbor id " + std::to_string(id) +
+                              " out of range for " + std::to_string(n) +
+                              " vertices");
     }
   }
 
-  if (metadata != nullptr) {
-    metadata->assign(bytes.data() + layout.metadata_begin,
-                     layout.metadata_len);
-  }
+  file->metadata.assign(bytes.data() + layout.metadata_begin,
+                        layout.metadata_len);
 
   if (graph_out != nullptr) {
-    Graph graph(n);
+    *graph_out = Graph(n);
     for (uint32_t v = 0; v < n; ++v) {
-      const uint64_t begin = GetU64(bytes, layout.offsets_begin + v * 8);
-      const uint64_t end = GetU64(bytes, layout.offsets_begin + (v + 1) * 8);
-      auto& list = graph.MutableNeighbors(v);
+      const uint64_t begin = LoadU64(offsets + uint64_t{v} * 8);
+      const uint64_t end = LoadU64(offsets + (uint64_t{v} + 1) * 8);
+      auto& list = graph_out->MutableNeighbors(v);
       list.reserve(end - begin);
       for (uint64_t i = begin; i < end; ++i) {
-        list.push_back(GetU32(bytes, layout.payload_begin + i * 4));
+        list.push_back(LoadU32(payload + i * 4));
       }
     }
-    *graph_out = std::move(graph);
   }
   return Status::OK();
 }
@@ -250,49 +131,42 @@ std::string SerializeGraph(const Graph& graph, std::string_view metadata) {
   WEAVESS_CHECK(metadata.size() <= kMaxGraphMetadataBytes);
   const uint32_t n = graph.size();
   const uint64_t e = graph.NumEdges();
-  const Layout layout = Layout::For(n, e, metadata.size());
+  const Layout layout(n, e, metadata.size());
 
-  std::string out;
-  out.reserve(layout.total);
+  ByteWriter out(layout.total);
+  out.Bytes(kGraphPrologue.magic);
+  out.U32(kGraphFormatVersion);
+  out.U32(n);
+  out.U64(e);
+  out.U32(static_cast<uint32_t>(metadata.size()));
+  out.Crc32cSince(0);
 
-  // Header.
-  out.append(kGraphMagic, sizeof(kGraphMagic));
-  PutU32(&out, kGraphFormatVersion);
-  PutU32(&out, n);
-  PutU64(&out, e);
-  PutU32(&out, static_cast<uint32_t>(metadata.size()));
-  PutU32(&out, Crc32c(out.data(), out.size()));
-
-  // Offsets.
-  const size_t offsets_begin = out.size();
   uint64_t running = 0;
-  PutU64(&out, running);
+  out.U64(running);
   for (uint32_t v = 0; v < n; ++v) {
     running += graph.Neighbors(v).size();
-    PutU64(&out, running);
+    out.U64(running);
   }
-  PutU32(&out, Crc32c(out.data() + offsets_begin, out.size() - offsets_begin));
+  out.Crc32cSince(kGraphHeaderBytes);
 
-  // Payload.
-  const size_t payload_begin = out.size();
   for (uint32_t v = 0; v < n; ++v) {
-    for (uint32_t id : graph.Neighbors(v)) PutU32(&out, id);
+    for (uint32_t id : graph.Neighbors(v)) out.U32(id);
   }
-  PutU32(&out, Crc32c(out.data() + payload_begin, out.size() - payload_begin));
+  out.Crc32cSince(layout.payload_begin);
 
-  // Metadata.
-  out.append(metadata.data(), metadata.size());
-  PutU32(&out, Crc32c(metadata.data(), metadata.size()));
+  out.Bytes(metadata);
+  out.Crc32cSince(layout.metadata_begin);
 
   WEAVESS_CHECK(out.size() == layout.total);
-  return out;
+  return out.Release();
 }
 
 StatusOr<Graph> DeserializeGraph(std::string_view bytes,
                                  std::string* metadata) {
+  GraphFileReport file;
   Graph graph;
-  WEAVESS_RETURN_IF_ERROR(ParseGraph(bytes, &graph, metadata, nullptr,
-                                     nullptr, nullptr, nullptr));
+  WEAVESS_RETURN_IF_ERROR(ParseGraph(bytes, &file, nullptr, &graph));
+  if (metadata != nullptr) *metadata = std::move(file.metadata);
   return graph;
 }
 
@@ -311,9 +185,7 @@ StatusOr<Graph> LoadGraphFromReader(Reader& reader, std::string* metadata) {
 
 Status SaveGraph(const Graph& graph, const std::string& path,
                  std::string_view metadata) {
-  StdioWriter writer;
-  WEAVESS_RETURN_IF_ERROR(writer.Open(path));
-  return SaveGraphToWriter(graph, metadata, writer);
+  return WriteStringToFile(SerializeGraph(graph, metadata), path);
 }
 
 StatusOr<Graph> LoadGraph(const std::string& path, std::string* metadata) {
@@ -324,21 +196,15 @@ StatusOr<Graph> LoadGraph(const std::string& path, std::string* metadata) {
 
 GraphFileReport VerifyGraphBytes(std::string_view bytes) {
   GraphFileReport report;
-  report.status = ParseGraph(bytes, nullptr, &report.metadata,
-                             &report.version, &report.num_vertices,
-                             &report.num_edges, &report.sections);
+  report.status = ParseGraph(bytes, &report, &report.sections, nullptr);
   return report;
 }
 
 GraphFileReport VerifyGraphFile(const std::string& path) {
   std::string bytes;
-  const Status read = ReadFileToString(path, &bytes);
-  if (!read.ok()) {
-    GraphFileReport report;
-    report.status = read;
-    return report;
-  }
-  return VerifyGraphBytes(bytes);
+  GraphFileReport unread;
+  unread.status = ReadFileToString(path, &bytes);
+  return unread.status.ok() ? VerifyGraphBytes(bytes) : unread;
 }
 
 }  // namespace weavess

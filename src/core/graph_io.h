@@ -22,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/binary_format.h"
 #include "core/file_io.h"
 #include "core/graph.h"
 #include "core/status.h"
@@ -59,23 +60,14 @@ Status SaveGraph(const Graph& graph, const std::string& path,
 StatusOr<Graph> LoadGraph(const std::string& path,
                           std::string* metadata = nullptr);
 
-/// Per-section verification result for `weavess_cli verify`.
-struct GraphSectionReport {
-  std::string name;      // "header", "offsets", "payload", "metadata"
-  uint64_t offset = 0;   // byte offset of the section's payload
-  uint64_t length = 0;   // payload bytes (excluding the trailing CRC)
-  uint32_t stored_crc = 0;
-  uint32_t computed_crc = 0;
-  bool ok = false;
-};
-
+/// Whole-file verification result for `weavess_cli verify`.
 struct GraphFileReport {
   Status status;  // overall verdict (OK only if every check passed)
   uint32_t version = 0;
   uint32_t num_vertices = 0;
   uint64_t num_edges = 0;
   std::string metadata;
-  std::vector<GraphSectionReport> sections;
+  std::vector<SectionReport> sections;
 };
 
 /// Checks magic/version/CRCs of a graph file without constructing the

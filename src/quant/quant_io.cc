@@ -1,157 +1,54 @@
 #include "quant/quant_io.h"
 
-#include <cstring>
-#include <tuple>
-
-#include "core/crc32c.h"
+#include "core/binary_format.h"
 
 namespace weavess {
 
 namespace {
 
-// Explicit little-endian encoding, same discipline as graph_io.cc: the
-// format is byte-defined, not struct-defined.
-void PutU32(std::string* out, uint32_t v) {
-  char bytes[4];
-  bytes[0] = static_cast<char>(v & 0xFF);
-  bytes[1] = static_cast<char>((v >> 8) & 0xFF);
-  bytes[2] = static_cast<char>((v >> 16) & 0xFF);
-  bytes[3] = static_cast<char>((v >> 24) & 0xFF);
-  out->append(bytes, 4);
-}
+constexpr Prologue kQuantizedPrologue{
+    {kQuantizedMagic, sizeof(kQuantizedMagic)}, "quantized-codes file",
+    kQuantizedHeaderBytes, kQuantizedFormatVersion, kQuantizedFormatVersion};
 
-void PutF32(std::string* out, float v) {
-  uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU32(out, bits);
-}
-
-uint32_t GetU32(std::string_view bytes, size_t offset) {
-  const auto* p = reinterpret_cast<const uint8_t*>(bytes.data() + offset);
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
-float GetF32(std::string_view bytes, size_t offset) {
-  const uint32_t bits = GetU32(bytes, offset);
-  float v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::string Hex(uint32_t v) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "0x%08x", v);
-  return buf;
-}
-
-Status CorruptionAt(uint64_t byte_offset, const std::string& what) {
-  return Status::Corruption(what + " at byte offset " +
-                            std::to_string(byte_offset));
-}
-
-// Section sizes derived from the (validated) header fields.
+// Section positions derived from the (validated) header fields.
 struct Layout {
-  uint64_t mins_begin;
-  uint64_t floats_len;  // dim * 4, shared by mins and scales
-  uint64_t scales_begin;
-  uint64_t codes_begin;
-  uint64_t codes_len;  // num * stride
-  uint64_t total;      // expected file size
+  Layout(uint64_t num, uint64_t dim, uint64_t stride)
+      : floats_len(dim * 4),
+        scales_begin(kQuantizedHeaderBytes + floats_len + 4),
+        codes_begin(scales_begin + floats_len + 4),
+        codes_len(num * stride),
+        total(codes_begin + codes_len + 4) {}
 
-  static Layout For(uint64_t num, uint64_t dim, uint64_t stride) {
-    Layout l;
-    l.mins_begin = kQuantizedHeaderBytes;
-    l.floats_len = dim * 4;
-    l.scales_begin = l.mins_begin + l.floats_len + 4;
-    l.codes_begin = l.scales_begin + l.floats_len + 4;
-    l.codes_len = num * stride;
-    l.total = l.codes_begin + l.codes_len + 4;
-    return l;
-  }
+  uint64_t floats_len;  // dim * 4, shared by mins and scales
+  uint64_t scales_begin, codes_begin, codes_len, total;
 };
 
-Status CheckHeader(std::string_view bytes, uint32_t* version, uint32_t* num,
-                   uint32_t* dim, uint32_t* stride,
-                   std::vector<QuantSectionReport>* report) {
-  if (bytes.size() < kQuantizedHeaderBytes) {
-    return Status::Corruption(
-        "file too small: " + std::to_string(bytes.size()) +
-        " bytes, a quantized-codes file needs at least " +
-        std::to_string(kQuantizedHeaderBytes));
-  }
-  if (std::memcmp(bytes.data(), kQuantizedMagic, sizeof(kQuantizedMagic)) !=
-      0) {
-    return CorruptionAt(0, "bad magic (not a weavess quantized-codes file)");
-  }
-  const uint32_t stored_crc = GetU32(bytes, kQuantizedHeaderBytes - 4);
-  const uint32_t computed_crc = Crc32c(bytes.data(), kQuantizedHeaderBytes - 4);
-  if (report != nullptr) {
-    report->push_back({"header", 0, kQuantizedHeaderBytes - 4, stored_crc,
-                       computed_crc, stored_crc == computed_crc});
-  }
-  if (stored_crc != computed_crc) {
-    return CorruptionAt(kQuantizedHeaderBytes - 4,
-                        "header CRC mismatch: stored " + Hex(stored_crc) +
-                            ", computed " + Hex(computed_crc));
-  }
-  *version = GetU32(bytes, 8);
-  if (*version != kQuantizedFormatVersion) {
-    return Status::NotSupported(
-        "quantized-codes format version " + std::to_string(*version) +
-        "; this build reads version " +
-        std::to_string(kQuantizedFormatVersion));
-  }
-  *num = GetU32(bytes, 12);
-  *dim = GetU32(bytes, 16);
-  *stride = GetU32(bytes, 20);
-  if (*dim == 0 || *dim > kMaxQuantizedDim) {
-    return CorruptionAt(16, "dimension " + std::to_string(*dim) +
+// Shared by DeserializeQuantized and VerifyQuantizedBytes (which passes
+// `sections`): validates the whole buffer into `file`, materializing
+// `codes_out` if set.
+Status ParseQuantized(std::string_view bytes, QuantFileReport* file,
+                      std::vector<SectionReport>* sections,
+                      QuantizedDataset* codes_out) {
+  WEAVESS_ASSIGN_OR_RETURN(
+      ByteCursor header,
+      CheckPrologue(bytes, kQuantizedPrologue, &file->version, sections));
+  WEAVESS_RETURN_IF_ERROR(header.U32("num", &file->num));
+  WEAVESS_RETURN_IF_ERROR(header.U32("dim", &file->dim));
+  WEAVESS_RETURN_IF_ERROR(header.U32("code stride", &file->code_stride));
+  const uint32_t num = file->num;
+  const uint32_t dim = file->dim;
+  const uint32_t stride = file->code_stride;
+  if (dim == 0 || dim > kMaxQuantizedDim) {
+    return CorruptionAt(16, "dimension " + std::to_string(dim) +
                                 " outside [1, " +
                                 std::to_string(kMaxQuantizedDim) + "]");
   }
-  if (*stride != QuantizedDataset::PaddedStride(*dim)) {
+  if (stride != QuantizedDataset::PaddedStride(dim)) {
     return CorruptionAt(
-        20, "code stride " + std::to_string(*stride) + " does not match " +
-                std::to_string(QuantizedDataset::PaddedStride(*dim)) +
-                " (dim " + std::to_string(*dim) + " padded to alignment)");
+        20, "code stride " + std::to_string(stride) + " does not match " +
+                std::to_string(QuantizedDataset::PaddedStride(dim)) +
+                " (dim " + std::to_string(dim) + " padded to alignment)");
   }
-  return Status::OK();
-}
-
-Status CheckSection(std::string_view bytes, const char* name, uint64_t begin,
-                    uint64_t len, std::vector<QuantSectionReport>* report) {
-  const uint32_t stored_crc = GetU32(bytes, begin + len);
-  const uint32_t computed_crc = Crc32c(bytes.data() + begin, len);
-  if (report != nullptr) {
-    report->push_back(
-        {name, begin, len, stored_crc, computed_crc,
-         stored_crc == computed_crc});
-  }
-  if (stored_crc != computed_crc) {
-    return CorruptionAt(begin + len,
-                        std::string(name) + " section CRC mismatch: stored " +
-                            Hex(stored_crc) + ", computed " +
-                            Hex(computed_crc));
-  }
-  return Status::OK();
-}
-
-// Shared by DeserializeQuantized and VerifyQuantizedBytes: structural
-// validation of the whole byte buffer, materializing the codes when
-// `codes_out` is non-null.
-Status ParseQuantized(std::string_view bytes, QuantizedDataset* codes_out,
-                      uint32_t* version_out, uint32_t* num_out,
-                      uint32_t* dim_out, uint32_t* stride_out,
-                      std::vector<QuantSectionReport>* report) {
-  uint32_t version = 0, num = 0, dim = 0, stride = 0;
-  WEAVESS_RETURN_IF_ERROR(
-      CheckHeader(bytes, &version, &num, &dim, &stride, report));
-  if (version_out != nullptr) *version_out = version;
-  if (num_out != nullptr) *num_out = num;
-  if (dim_out != nullptr) *dim_out = dim;
-  if (stride_out != nullptr) *stride_out = stride;
-
   // Overflow guard: the code matrix must fit in the file before any
   // num * stride arithmetic is trusted (stride ≥ 64 once the header
   // validated, so the division is safe).
@@ -160,7 +57,7 @@ Status ParseQuantized(std::string_view bytes, QuantizedDataset* codes_out,
                                 " cannot fit in a " +
                                 std::to_string(bytes.size()) + "-byte file");
   }
-  const Layout layout = Layout::For(num, dim, stride);
+  const Layout layout(num, dim, stride);
   if (layout.total != bytes.size()) {
     return Status::Corruption(
         "file size mismatch: header promises " + std::to_string(layout.total) +
@@ -168,51 +65,37 @@ Status ParseQuantized(std::string_view bytes, QuantizedDataset* codes_out,
         std::to_string(stride) + " code bytes, dim " + std::to_string(dim) +
         "), file has " + std::to_string(bytes.size()));
   }
-
-  // In verify mode (report != nullptr) keep checking later sections after
-  // a failure so the CLI can print a complete per-section diagnosis.
-  Status section_status =
-      CheckSection(bytes, "mins", layout.mins_begin, layout.floats_len,
-                   report);
-  if (!section_status.ok() && report == nullptr) return section_status;
-  for (const auto& [name, begin, len] :
-       {std::tuple("scales", layout.scales_begin, layout.floats_len),
-        std::tuple("codes", layout.codes_begin, layout.codes_len)}) {
-    const Status s = CheckSection(bytes, name, begin, len, report);
-    if (section_status.ok()) section_status = s;
-    if (!section_status.ok() && report == nullptr) return section_status;
-  }
-  WEAVESS_RETURN_IF_ERROR(section_status);
+  WEAVESS_RETURN_IF_ERROR(
+      CheckSections(bytes,
+                    {{"mins", kQuantizedHeaderBytes, layout.floats_len},
+                     {"scales", layout.scales_begin, layout.floats_len},
+                     {"codes", layout.codes_begin, layout.codes_len}},
+                    sections));
 
   // Scales must be non-negative finite reals — a negative or NaN scale
   // would silently invert or poison every distance.
+  AlignedFloatVector mins(dim), scales(dim);
   for (uint32_t d = 0; d < dim; ++d) {
-    const uint64_t pos = layout.scales_begin + static_cast<uint64_t>(d) * 4;
-    const float scale = GetF32(bytes, pos);
-    if (!(scale >= 0.0f) || scale != scale || scale > 3.0e38f) {
-      return CorruptionAt(pos, "scale for dimension " + std::to_string(d) +
-                                   " is not a non-negative finite float");
+    const uint64_t min_pos = kQuantizedHeaderBytes + uint64_t{d} * 4;
+    const uint64_t scale_pos = layout.scales_begin + uint64_t{d} * 4;
+    mins[d] = LoadF32(bytes.data() + min_pos);
+    scales[d] = LoadF32(bytes.data() + scale_pos);
+    if (!(scales[d] >= 0.0f) || scales[d] > 3.0e38f) {
+      return CorruptionAt(scale_pos, "scale for dimension " +
+                                         std::to_string(d) +
+                                         " is not a non-negative finite float");
     }
-    const uint64_t min_pos = layout.mins_begin + static_cast<uint64_t>(d) * 4;
-    const float min = GetF32(bytes, min_pos);
-    if (min != min) {
+    if (mins[d] != mins[d]) {
       return CorruptionAt(min_pos,
                           "min for dimension " + std::to_string(d) + " is NaN");
     }
   }
 
   if (codes_out != nullptr) {
-    AlignedFloatVector mins(dim), scales(dim);
-    for (uint32_t d = 0; d < dim; ++d) {
-      mins[d] = GetF32(bytes, layout.mins_begin + static_cast<uint64_t>(d) * 4);
-      scales[d] =
-          GetF32(bytes, layout.scales_begin + static_cast<uint64_t>(d) * 4);
-    }
-    AlignedByteVector code_bytes(layout.codes_len);
-    std::memcpy(code_bytes.data(), bytes.data() + layout.codes_begin,
-                layout.codes_len);
-    *codes_out = QuantizedDataset(num, dim, std::move(code_bytes),
-                                  std::move(mins), std::move(scales));
+    const char* code_bytes = bytes.data() + layout.codes_begin;
+    *codes_out = QuantizedDataset(
+        num, dim, AlignedByteVector(code_bytes, code_bytes + layout.codes_len),
+        std::move(mins), std::move(scales));
   }
   return Status::OK();
 }
@@ -220,52 +103,41 @@ Status ParseQuantized(std::string_view bytes, QuantizedDataset* codes_out,
 }  // namespace
 
 bool IsQuantizedBytes(std::string_view bytes) {
-  return bytes.size() >= sizeof(kQuantizedMagic) &&
-         std::memcmp(bytes.data(), kQuantizedMagic,
-                     sizeof(kQuantizedMagic)) == 0;
+  return bytes.starts_with(kQuantizedPrologue.magic);
 }
 
 std::string SerializeQuantized(const QuantizedDataset& codes) {
   WEAVESS_CHECK(codes.dim() >= 1 && codes.dim() <= kMaxQuantizedDim &&
                 "only non-degenerate code matrices serialize");
-  const Layout layout =
-      Layout::For(codes.size(), codes.dim(), codes.code_stride());
+  const Layout layout(codes.size(), codes.dim(), codes.code_stride());
 
-  std::string out;
-  out.reserve(layout.total);
+  ByteWriter out(layout.total);
+  out.Bytes(kQuantizedPrologue.magic);
+  out.U32(kQuantizedFormatVersion);
+  out.U32(codes.size());
+  out.U32(codes.dim());
+  out.U32(codes.code_stride());
+  out.Crc32cSince(0);
 
-  // Header.
-  out.append(kQuantizedMagic, sizeof(kQuantizedMagic));
-  PutU32(&out, kQuantizedFormatVersion);
-  PutU32(&out, codes.size());
-  PutU32(&out, codes.dim());
-  PutU32(&out, codes.code_stride());
-  PutU32(&out, Crc32c(out.data(), out.size()));
+  for (uint32_t d = 0; d < codes.dim(); ++d) out.F32(codes.mins()[d]);
+  out.Crc32cSince(kQuantizedHeaderBytes);
 
-  // Mins.
-  const size_t mins_begin = out.size();
-  for (uint32_t d = 0; d < codes.dim(); ++d) PutF32(&out, codes.mins()[d]);
-  PutU32(&out, Crc32c(out.data() + mins_begin, out.size() - mins_begin));
-
-  // Scales.
-  const size_t scales_begin = out.size();
-  for (uint32_t d = 0; d < codes.dim(); ++d) PutF32(&out, codes.scales()[d]);
-  PutU32(&out, Crc32c(out.data() + scales_begin, out.size() - scales_begin));
+  for (uint32_t d = 0; d < codes.dim(); ++d) out.F32(codes.scales()[d]);
+  out.Crc32cSince(layout.scales_begin);
 
   // Codes (padding included — the stride is part of the format).
-  const size_t codes_begin = out.size();
-  out.append(reinterpret_cast<const char*>(codes.CodeBase()),
-             codes.raw().size());
-  PutU32(&out, Crc32c(out.data() + codes_begin, out.size() - codes_begin));
+  out.Bytes({reinterpret_cast<const char*>(codes.CodeBase()),
+             codes.raw().size()});
+  out.Crc32cSince(layout.codes_begin);
 
   WEAVESS_CHECK(out.size() == layout.total);
-  return out;
+  return out.Release();
 }
 
 StatusOr<QuantizedDataset> DeserializeQuantized(std::string_view bytes) {
+  QuantFileReport file;
   QuantizedDataset codes;
-  WEAVESS_RETURN_IF_ERROR(ParseQuantized(bytes, &codes, nullptr, nullptr,
-                                         nullptr, nullptr, nullptr));
+  WEAVESS_RETURN_IF_ERROR(ParseQuantized(bytes, &file, nullptr, &codes));
   return codes;
 }
 
@@ -282,9 +154,7 @@ StatusOr<QuantizedDataset> LoadQuantizedFromReader(Reader& reader) {
 }
 
 Status SaveQuantized(const QuantizedDataset& codes, const std::string& path) {
-  StdioWriter writer;
-  WEAVESS_RETURN_IF_ERROR(writer.Open(path));
-  return SaveQuantizedToWriter(codes, writer);
+  return WriteStringToFile(SerializeQuantized(codes), path);
 }
 
 StatusOr<QuantizedDataset> LoadQuantized(const std::string& path) {
@@ -295,21 +165,15 @@ StatusOr<QuantizedDataset> LoadQuantized(const std::string& path) {
 
 QuantFileReport VerifyQuantizedBytes(std::string_view bytes) {
   QuantFileReport report;
-  report.status =
-      ParseQuantized(bytes, nullptr, &report.version, &report.num,
-                     &report.dim, &report.code_stride, &report.sections);
+  report.status = ParseQuantized(bytes, &report, &report.sections, nullptr);
   return report;
 }
 
 QuantFileReport VerifyQuantizedFile(const std::string& path) {
   std::string bytes;
-  const Status read = ReadFileToString(path, &bytes);
-  if (!read.ok()) {
-    QuantFileReport report;
-    report.status = read;
-    return report;
-  }
-  return VerifyQuantizedBytes(bytes);
+  QuantFileReport unread;
+  unread.status = ReadFileToString(path, &bytes);
+  return unread.status.ok() ? VerifyQuantizedBytes(bytes) : unread;
 }
 
 }  // namespace weavess

@@ -25,6 +25,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/binary_format.h"
 #include "core/file_io.h"
 #include "core/status.h"
 #include "quant/sq8.h"
@@ -61,24 +62,14 @@ StatusOr<QuantizedDataset> LoadQuantizedFromReader(Reader& reader);
 Status SaveQuantized(const QuantizedDataset& codes, const std::string& path);
 StatusOr<QuantizedDataset> LoadQuantized(const std::string& path);
 
-/// Per-section verification result for `weavess_cli verify`, mirroring
-/// GraphSectionReport.
-struct QuantSectionReport {
-  std::string name;  // "header", "mins", "scales", "codes"
-  uint64_t offset = 0;
-  uint64_t length = 0;
-  uint32_t stored_crc = 0;
-  uint32_t computed_crc = 0;
-  bool ok = false;
-};
-
+/// Whole-file verification result for `weavess_cli verify`.
 struct QuantFileReport {
   Status status;  // overall verdict (OK only if every check passed)
   uint32_t version = 0;
   uint32_t num = 0;
   uint32_t dim = 0;
   uint32_t code_stride = 0;
-  std::vector<QuantSectionReport> sections;
+  std::vector<SectionReport> sections;
 };
 
 /// Checks magic/version/CRCs without materializing the codes; reports every

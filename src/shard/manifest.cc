@@ -1,133 +1,23 @@
 #include "shard/manifest.h"
 
-#include <cstring>
+#include <utility>
 
+#include "core/binary_format.h"
 #include "core/check.h"
-#include "core/crc32c.h"
 #include "core/file_io.h"
 
 namespace weavess {
 
 namespace {
 
-// Explicit little-endian encoding, same convention as core/graph_io.cc:
-// the format is byte-defined, not struct-defined.
-void PutU32(std::string* out, uint32_t v) {
-  char bytes[4];
-  bytes[0] = static_cast<char>(v & 0xFF);
-  bytes[1] = static_cast<char>((v >> 8) & 0xFF);
-  bytes[2] = static_cast<char>((v >> 16) & 0xFF);
-  bytes[3] = static_cast<char>((v >> 24) & 0xFF);
-  out->append(bytes, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v & 0xFFFFFFFFu));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-void PutF32(std::string* out, float v) {
-  uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU32(out, bits);
-}
-
-void PutString(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s.data(), s.size());
-}
-
-uint32_t GetU32(std::string_view bytes, size_t offset) {
-  const auto* p = reinterpret_cast<const uint8_t*>(bytes.data() + offset);
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
-uint64_t GetU64(std::string_view bytes, size_t offset) {
-  return static_cast<uint64_t>(GetU32(bytes, offset)) |
-         static_cast<uint64_t>(GetU32(bytes, offset + 4)) << 32;
-}
-
-float GetF32(std::string_view bytes, size_t offset) {
-  const uint32_t bits = GetU32(bytes, offset);
-  float v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::string Hex(uint32_t v) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "0x%08x", v);
-  return buf;
-}
-
-Status CorruptionAt(uint64_t byte_offset, const std::string& what) {
-  return Status::Corruption(what + " at byte offset " +
-                            std::to_string(byte_offset));
-}
-
-// Bounds-checked cursor over the body section; every read failure names
-// the absolute file offset where the body ran out.
-class BodyCursor {
- public:
-  BodyCursor(std::string_view body, uint64_t file_offset)
-      : body_(body), file_offset_(file_offset) {}
-
-  Status ReadU32(const char* what, uint32_t* out) {
-    WEAVESS_RETURN_IF_ERROR(Need(4, what));
-    *out = GetU32(body_, pos_);
-    pos_ += 4;
-    return Status::OK();
-  }
-
-  Status ReadU64(const char* what, uint64_t* out) {
-    WEAVESS_RETURN_IF_ERROR(Need(8, what));
-    *out = GetU64(body_, pos_);
-    pos_ += 8;
-    return Status::OK();
-  }
-
-  Status ReadF32(const char* what, float* out) {
-    WEAVESS_RETURN_IF_ERROR(Need(4, what));
-    *out = GetF32(body_, pos_);
-    pos_ += 4;
-    return Status::OK();
-  }
-
-  Status ReadString(const char* what, std::string* out) {
-    uint32_t len = 0;
-    WEAVESS_RETURN_IF_ERROR(ReadU32(what, &len));
-    WEAVESS_RETURN_IF_ERROR(Need(len, what));
-    out->assign(body_.data() + pos_, len);
-    pos_ += len;
-    return Status::OK();
-  }
-
-  size_t pos() const { return pos_; }
-  size_t remaining() const { return body_.size() - pos_; }
-  uint64_t FileOffset() const { return file_offset_ + pos_; }
-
- private:
-  Status Need(size_t n, const char* what) {
-    if (body_.size() - pos_ < n) {
-      return CorruptionAt(FileOffset(),
-                          std::string("manifest body truncated reading ") +
-                              what);
-    }
-    return Status::OK();
-  }
-
-  std::string_view body_;
-  uint64_t file_offset_;
-  size_t pos_ = 0;
-};
+constexpr Prologue kManifestPrologue{
+    {kManifestMagic, sizeof(kManifestMagic)}, "shard manifest",
+    kManifestHeaderBytes, kMinManifestFormatVersion, kManifestFormatVersion};
 
 }  // namespace
 
 bool IsManifestBytes(std::string_view bytes) {
-  return bytes.size() >= sizeof(kManifestMagic) &&
-         std::memcmp(bytes.data(), kManifestMagic, sizeof(kManifestMagic)) ==
-             0;
+  return bytes.starts_with(kManifestPrologue.magic);
 }
 
 std::string ResolveShardPath(const std::string& manifest_path,
@@ -141,120 +31,79 @@ std::string ResolveShardPath(const std::string& manifest_path,
 std::string SerializeManifest(const ShardManifest& manifest) {
   WEAVESS_CHECK(manifest.shards.size() <= 0xFFFFFFFFu);
 
-  std::string body;
-  PutString(&body, manifest.algorithm);
-  PutString(&body, manifest.partitioner);
-  PutU64(&body, manifest.generation);  // v2 field
-  PutU64(&body, manifest.options.seed);
-  PutU32(&body, manifest.options.knng_degree);
-  PutU32(&body, manifest.options.max_degree);
-  PutU32(&body, manifest.options.build_pool);
-  PutU32(&body, manifest.options.nn_descent_iters);
-  PutU32(&body, manifest.options.num_trees);
-  PutU32(&body, manifest.options.num_seeds);
-  PutF32(&body, manifest.options.alpha);
-  PutF32(&body, manifest.options.angle_degrees);
+  ByteWriter body;
+  body.String(manifest.algorithm);
+  body.String(manifest.partitioner);
+  body.U64(manifest.generation);  // v2 field
+  body.U64(manifest.options.seed);
+  body.U32(manifest.options.knng_degree);
+  body.U32(manifest.options.max_degree);
+  body.U32(manifest.options.build_pool);
+  body.U32(manifest.options.nn_descent_iters);
+  body.U32(manifest.options.num_trees);
+  body.U32(manifest.options.num_seeds);
+  body.F32(manifest.options.alpha);
+  body.F32(manifest.options.angle_degrees);
   for (const ShardManifest::Entry& entry : manifest.shards) {
-    PutString(&body, entry.path);
-    PutU32(&body, static_cast<uint32_t>(entry.ids.size()));
-    for (uint32_t id : entry.ids) PutU32(&body, id);
+    body.String(entry.path);
+    body.U32(static_cast<uint32_t>(entry.ids.size()));
+    for (uint32_t id : entry.ids) body.U32(id);
   }
   WEAVESS_CHECK(body.size() <= kMaxManifestBodyBytes);
 
-  std::string out;
-  out.reserve(kManifestHeaderBytes + body.size() + 4);
-  out.append(kManifestMagic, sizeof(kManifestMagic));
-  PutU32(&out, kManifestFormatVersion);
-  PutU32(&out, static_cast<uint32_t>(manifest.shards.size()));
-  PutU32(&out, manifest.total_vertices);
-  PutU32(&out, static_cast<uint32_t>(body.size()));
-  PutU32(&out, Crc32c(out.data(), out.size()));
-  out.append(body);
-  PutU32(&out, Crc32c(body.data(), body.size()));
-  return out;
+  ByteWriter out(kManifestHeaderBytes + body.size() + 4);
+  out.Bytes(kManifestPrologue.magic);
+  out.U32(kManifestFormatVersion);
+  out.U32(static_cast<uint32_t>(manifest.shards.size()));
+  out.U32(manifest.total_vertices);
+  out.U32(static_cast<uint32_t>(body.size()));
+  out.Crc32cSince(0);
+  out.Bytes(body.bytes());
+  out.Crc32cSince(kManifestHeaderBytes);
+  return out.Release();
 }
 
 StatusOr<ShardManifest> DeserializeManifest(std::string_view bytes) {
-  if (bytes.size() < kManifestHeaderBytes) {
-    return Status::Corruption(
-        "file too small: " + std::to_string(bytes.size()) +
-        " bytes, a shard manifest needs at least " +
-        std::to_string(kManifestHeaderBytes));
-  }
-  if (!IsManifestBytes(bytes)) {
-    return CorruptionAt(0, "bad magic (not a weavess shard manifest)");
-  }
-  const uint32_t stored_header_crc = GetU32(bytes, kManifestHeaderBytes - 4);
-  const uint32_t computed_header_crc =
-      Crc32c(bytes.data(), kManifestHeaderBytes - 4);
-  if (stored_header_crc != computed_header_crc) {
-    return CorruptionAt(kManifestHeaderBytes - 4,
-                        "header CRC mismatch: stored " +
-                            Hex(stored_header_crc) + ", computed " +
-                            Hex(computed_header_crc));
-  }
-  const uint32_t version = GetU32(bytes, 8);
-  if (version < kMinManifestFormatVersion ||
-      version > kManifestFormatVersion) {
-    return Status::NotSupported(
-        "shard manifest format version " + std::to_string(version) +
-        "; this build reads versions " +
-        std::to_string(kMinManifestFormatVersion) + ".." +
-        std::to_string(kManifestFormatVersion));
-  }
-  const uint32_t num_shards = GetU32(bytes, 12);
-  const uint32_t total_vertices = GetU32(bytes, 16);
-  const uint32_t body_len = GetU32(bytes, 20);
-  if (body_len > kMaxManifestBodyBytes) {
-    return CorruptionAt(20, "body length " + std::to_string(body_len) +
-                                " exceeds the " +
-                                std::to_string(kMaxManifestBodyBytes) +
-                                "-byte cap");
-  }
-  const uint64_t expected = kManifestHeaderBytes + uint64_t{body_len} + 4;
-  if (bytes.size() != expected) {
-    return Status::Corruption(
-        "file size mismatch: header promises " + std::to_string(expected) +
-        " bytes, file has " + std::to_string(bytes.size()));
-  }
-  const std::string_view body = bytes.substr(kManifestHeaderBytes, body_len);
-  const uint32_t stored_body_crc =
-      GetU32(bytes, kManifestHeaderBytes + body_len);
-  const uint32_t computed_body_crc = Crc32c(body.data(), body.size());
-  if (stored_body_crc != computed_body_crc) {
-    return CorruptionAt(kManifestHeaderBytes + body_len,
-                        "body CRC mismatch: stored " + Hex(stored_body_crc) +
-                            ", computed " + Hex(computed_body_crc));
-  }
+  uint32_t version = 0;
+  WEAVESS_ASSIGN_OR_RETURN(ByteCursor header,
+                           CheckPrologue(bytes, kManifestPrologue, &version));
+  uint32_t num_shards = 0;
+  uint32_t total_vertices = 0;
+  WEAVESS_RETURN_IF_ERROR(header.U32("num_shards", &num_shards));
+  WEAVESS_RETURN_IF_ERROR(header.U32("total_vertices", &total_vertices));
+  WEAVESS_ASSIGN_OR_RETURN(
+      ByteCursor cursor,
+      CheckBody(bytes, kManifestHeaderBytes, header, kMaxManifestBodyBytes));
 
   ShardManifest manifest;
   manifest.total_vertices = total_vertices;
-  BodyCursor cursor(body, kManifestHeaderBytes);
-  WEAVESS_RETURN_IF_ERROR(cursor.ReadString("algorithm", &manifest.algorithm));
+  WEAVESS_RETURN_IF_ERROR(cursor.String("algorithm", &manifest.algorithm));
   WEAVESS_RETURN_IF_ERROR(
-      cursor.ReadString("partitioner", &manifest.partitioner));
+      cursor.String("partitioner", &manifest.partitioner));
   if (version >= 2) {
-    WEAVESS_RETURN_IF_ERROR(
-        cursor.ReadU64("generation", &manifest.generation));
+    WEAVESS_RETURN_IF_ERROR(cursor.U64("generation", &manifest.generation));
   }
-  WEAVESS_RETURN_IF_ERROR(cursor.ReadU64("seed", &manifest.options.seed));
-  WEAVESS_RETURN_IF_ERROR(
-      cursor.ReadU32("knng_degree", &manifest.options.knng_degree));
-  WEAVESS_RETURN_IF_ERROR(
-      cursor.ReadU32("max_degree", &manifest.options.max_degree));
-  WEAVESS_RETURN_IF_ERROR(
-      cursor.ReadU32("build_pool", &manifest.options.build_pool));
-  WEAVESS_RETURN_IF_ERROR(
-      cursor.ReadU32("nn_descent_iters", &manifest.options.nn_descent_iters));
-  WEAVESS_RETURN_IF_ERROR(
-      cursor.ReadU32("num_trees", &manifest.options.num_trees));
-  WEAVESS_RETURN_IF_ERROR(
-      cursor.ReadU32("num_seeds", &manifest.options.num_seeds));
-  WEAVESS_RETURN_IF_ERROR(cursor.ReadF32("alpha", &manifest.options.alpha));
-  WEAVESS_RETURN_IF_ERROR(
-      cursor.ReadF32("angle_degrees", &manifest.options.angle_degrees));
-  manifest.options.num_shards = num_shards;
-  manifest.options.partitioner = manifest.partitioner;
+  AlgorithmOptions& options = manifest.options;
+  WEAVESS_RETURN_IF_ERROR(cursor.U64("seed", &options.seed));
+  for (const auto& [what, field] :
+       {std::pair{"knng_degree", &options.knng_degree},
+        std::pair{"max_degree", &options.max_degree},
+        std::pair{"build_pool", &options.build_pool},
+        std::pair{"nn_descent_iters", &options.nn_descent_iters},
+        std::pair{"num_trees", &options.num_trees},
+        std::pair{"num_seeds", &options.num_seeds}}) {
+    WEAVESS_RETURN_IF_ERROR(cursor.U32(what, field));
+  }
+  WEAVESS_RETURN_IF_ERROR(cursor.F32("alpha", &options.alpha));
+  WEAVESS_RETURN_IF_ERROR(cursor.F32("angle_degrees", &options.angle_degrees));
+  options.num_shards = num_shards;
+  options.partitioner = manifest.partitioner;
+
+  // Both header counts size allocations below, so both must fit in the
+  // entries that remain: a shard entry holds at least a path length and
+  // an id count, and every row appears in exactly one id list.
+  WEAVESS_RETURN_IF_ERROR(cursor.CheckCount(num_shards, 8, "shard"));
+  WEAVESS_RETURN_IF_ERROR(cursor.CheckCount(total_vertices, 4, "row id"));
 
   // Disjoint-cover check across all shard id lists: every row of
   // [0, total_vertices) appears exactly once.
@@ -263,30 +112,23 @@ StatusOr<ShardManifest> DeserializeManifest(std::string_view bytes) {
   manifest.shards.resize(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
     ShardManifest::Entry& entry = manifest.shards[s];
-    const std::string what = "shard " + std::to_string(s) + " entry";
-    WEAVESS_RETURN_IF_ERROR(cursor.ReadString(what.c_str(), &entry.path));
+    const std::string shard = "shard " + std::to_string(s);
+    const std::string what = shard + " entry";
+    WEAVESS_RETURN_IF_ERROR(cursor.String(what, &entry.path));
     if (entry.path.empty()) {
-      return CorruptionAt(cursor.FileOffset(),
-                          "shard " + std::to_string(s) + " has an empty path");
+      return CorruptionAt(cursor.FileOffset(), shard + " has an empty path");
     }
     uint32_t num_ids = 0;
-    WEAVESS_RETURN_IF_ERROR(cursor.ReadU32(what.c_str(), &num_ids));
-    if (uint64_t{num_ids} * 4 > cursor.remaining()) {
-      return CorruptionAt(cursor.FileOffset(),
-                          "shard " + std::to_string(s) + " promises " +
-                              std::to_string(num_ids) +
-                              " ids but the body has only " +
-                              std::to_string(cursor.remaining()) +
-                              " bytes left");
-    }
+    WEAVESS_RETURN_IF_ERROR(cursor.U32(what, &num_ids));
+    WEAVESS_RETURN_IF_ERROR(cursor.CheckCount(num_ids, 4, shard + " id"));
     entry.ids.resize(num_ids);
     for (uint32_t i = 0; i < num_ids; ++i) {
       uint32_t id = 0;
-      WEAVESS_RETURN_IF_ERROR(cursor.ReadU32(what.c_str(), &id));
+      WEAVESS_RETURN_IF_ERROR(cursor.U32(what, &id));
       if (id >= total_vertices) {
         return CorruptionAt(cursor.FileOffset() - 4,
-                            "shard " + std::to_string(s) + " id " +
-                                std::to_string(id) + " out of range for " +
+                            shard + " id " + std::to_string(id) +
+                                " out of range for " +
                                 std::to_string(total_vertices) + " rows");
       }
       if (seen[id]) {

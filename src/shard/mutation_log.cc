@@ -1,8 +1,8 @@
 #include "shard/mutation_log.h"
 
 #include <cstdio>
-#include <cstring>
 
+#include "core/binary_format.h"
 #include "core/check.h"
 #include "core/crc32c.h"
 #include "core/file_io.h"
@@ -11,125 +11,106 @@ namespace weavess {
 
 namespace {
 
-// Explicit little-endian encoding, same convention as core/graph_io.cc.
-void PutU32(std::string* out, uint32_t v) {
-  char bytes[4];
-  bytes[0] = static_cast<char>(v & 0xFF);
-  bytes[1] = static_cast<char>((v >> 8) & 0xFF);
-  bytes[2] = static_cast<char>((v >> 16) & 0xFF);
-  bytes[3] = static_cast<char>((v >> 24) & 0xFF);
-  out->append(bytes, 4);
-}
+constexpr Prologue kWalPrologue{{kWalMagic, sizeof(kWalMagic)},
+                                "mutation log", kWalHeaderBytes,
+                                kWalFormatVersion, kWalFormatVersion};
 
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v & 0xFFFFFFFFu));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
+// The whole generation manifest is its prologue: the CRC seals every field.
+constexpr Prologue kGenManifestPrologue{
+    {kGenManifestMagic, sizeof(kGenManifestMagic)}, "generation manifest",
+    kGenManifestBytes, kGenManifestVersion, kGenManifestVersion};
 
-uint32_t GetU32(std::string_view bytes, size_t offset) {
-  const auto* p = reinterpret_cast<const uint8_t*>(bytes.data() + offset);
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
-uint64_t GetU64(std::string_view bytes, size_t offset) {
-  return static_cast<uint64_t>(GetU32(bytes, offset)) |
-         static_cast<uint64_t>(GetU32(bytes, offset + 4)) << 32;
-}
-
-/// Parses one frame payload into `record`. False = structurally invalid
-/// (unknown kind or size mismatch) — treated exactly like a CRC failure:
-/// the log ends here.
-bool ParsePayload(std::string_view payload, uint32_t dim,
-                  MutationRecord* record) {
-  if (payload.empty()) return false;
-  const auto kind = static_cast<MutationKind>(
-      static_cast<uint8_t>(payload[0]));
-  record->kind = kind;
-  switch (kind) {
-    case MutationKind::kAdd: {
-      const size_t expected = 1 + 4 + static_cast<size_t>(dim) * 4;
-      if (payload.size() != expected) return false;
-      record->id = GetU32(payload, 1);
-      record->vector.resize(dim);
-      std::memcpy(record->vector.data(), payload.data() + 5,
-                  static_cast<size_t>(dim) * 4);
-      return true;
-    }
+/// Reads the next frame into `record`. False = torn, corrupt, or
+/// structurally invalid (unknown kind, payload size off for its kind) —
+/// all alike end the valid prefix of the log before this frame.
+bool ReadFrame(ByteCursor& log, uint32_t dim, MutationRecord* record) {
+  uint32_t payload_len = 0;
+  uint32_t crc = 0;
+  std::string_view payload;
+  if (!log.U32("frame length", &payload_len).ok() ||
+      payload_len > kMaxWalPayloadBytes ||
+      !log.U32("frame CRC", &crc).ok() ||
+      !log.Bytes(payload_len, "frame payload", &payload).ok() ||
+      crc != Crc32c(payload.data(), payload.size())) {
+    return false;
+  }
+  ByteCursor in(payload);
+  uint8_t kind = 0;
+  std::string_view vector;
+  bool ok = in.U8("kind", &kind).ok();
+  record->kind = static_cast<MutationKind>(kind);
+  switch (record->kind) {
+    case MutationKind::kAdd:
+      ok = ok && in.U32("id", &record->id).ok() &&
+           in.Bytes(uint64_t{dim} * 4, "vector", &vector).ok();
+      break;
     case MutationKind::kRemove:
     case MutationKind::kCompact:
-      if (payload.size() != 1 + 4) return false;
-      record->id = GetU32(payload, 1);
-      return true;
+      ok = ok && in.U32("id", &record->id).ok();
+      break;
     case MutationKind::kCommit:
-      if (payload.size() != 1 + 8 + 4) return false;
-      record->generation = GetU64(payload, 1);
-      record->next_id = GetU32(payload, 9);
-      return true;
+      ok = ok && in.U64("generation", &record->generation).ok() &&
+           in.U32("next id", &record->next_id).ok();
+      break;
+    default:
+      return false;
   }
-  return false;
+  if (!ok || in.remaining() != 0) return false;
+  record->vector.resize(vector.size() / 4);
+  for (size_t d = 0; d < record->vector.size(); ++d) {
+    record->vector[d] = LoadF32(vector.data() + d * 4);
+  }
+  return true;
 }
 
 }  // namespace
 
 std::string SerializeWalHeader(uint32_t dim) {
-  std::string out;
-  out.reserve(kWalHeaderBytes);
-  out.append(kWalMagic, sizeof(kWalMagic));
-  PutU32(&out, kWalFormatVersion);
-  PutU32(&out, dim);
-  PutU32(&out, Crc32c(out.data(), out.size()));
-  return out;
+  ByteWriter out(kWalHeaderBytes);
+  out.Bytes(kWalPrologue.magic);
+  out.U32(kWalFormatVersion);
+  out.U32(dim);
+  out.Crc32cSince(0);
+  return out.Release();
 }
 
 std::string SerializeWalRecord(const MutationRecord& record) {
-  std::string payload;
-  payload.push_back(static_cast<char>(record.kind));
+  ByteWriter payload;
+  payload.U8(static_cast<uint8_t>(record.kind));
   switch (record.kind) {
     case MutationKind::kAdd:
-      PutU32(&payload, record.id);
-      for (float v : record.vector) {
-        uint32_t bits;
-        std::memcpy(&bits, &v, sizeof(bits));
-        PutU32(&payload, bits);
-      }
+      payload.U32(record.id);
+      for (float v : record.vector) payload.F32(v);
       break;
     case MutationKind::kRemove:
     case MutationKind::kCompact:
-      PutU32(&payload, record.id);
+      payload.U32(record.id);
       break;
     case MutationKind::kCommit:
-      PutU64(&payload, record.generation);
-      PutU32(&payload, record.next_id);
+      payload.U64(record.generation);
+      payload.U32(record.next_id);
       break;
   }
   WEAVESS_CHECK(payload.size() <= kMaxWalPayloadBytes);
-  std::string out;
-  out.reserve(kWalFrameBytes + payload.size());
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU32(&out, Crc32c(payload.data(), payload.size()));
-  out.append(payload);
-  return out;
+  ByteWriter out(kWalFrameBytes + payload.size());
+  out.U32(static_cast<uint32_t>(payload.size()));
+  out.U32(Crc32c(payload.bytes().data(), payload.size()));
+  out.Bytes(payload.bytes());
+  return out.Release();
 }
 
 StatusOr<WalReplay> ReplayMutationLog(std::string_view bytes, uint32_t dim) {
   WalReplay replay;
-  // A short or torn header means nothing was ever committed: recover to
-  // the empty state (the caller rewrites a fresh header).
-  if (bytes.size() < kWalHeaderBytes ||
-      std::memcmp(bytes.data(), kWalMagic, sizeof(kWalMagic)) != 0 ||
-      GetU32(bytes, kWalHeaderBytes - 4) !=
-          Crc32c(bytes.data(), kWalHeaderBytes - 4)) {
+  StatusOr<ByteCursor> header = CheckPrologue(bytes, kWalPrologue);
+  if (!header.ok()) {
+    // A short or torn header means nothing was ever committed: recover to
+    // the empty state (the caller rewrites a fresh header).
+    if (!header.status().IsCorruption()) return header.status();
     replay.truncated_tail = !bytes.empty();
     return replay;
   }
-  const uint32_t version = GetU32(bytes, 8);
-  if (version != kWalFormatVersion) {
-    return Status::NotSupported(
-        "mutation log format version " + std::to_string(version) +
-        "; this build reads version " + std::to_string(kWalFormatVersion));
-  }
-  const uint32_t stored_dim = GetU32(bytes, 12);
+  uint32_t stored_dim = 0;
+  WEAVESS_RETURN_IF_ERROR(header->U32("dim", &stored_dim));
   if (stored_dim != dim) {
     return Status::InvalidArgument(
         "mutation log is over " + std::to_string(stored_dim) +
@@ -137,24 +118,13 @@ StatusOr<WalReplay> ReplayMutationLog(std::string_view bytes, uint32_t dim) {
   }
 
   std::vector<MutationRecord> records;
-  size_t pos = kWalHeaderBytes;
   size_t committed_records = 0;
-  replay.committed_bytes = pos;  // empty log commits nothing past the header
-  replay.valid_bytes = pos;
-  while (true) {
-    if (bytes.size() - pos < kWalFrameBytes) break;
-    const uint32_t payload_len = GetU32(bytes, pos);
-    if (payload_len > kMaxWalPayloadBytes) break;
-    if (bytes.size() - pos - kWalFrameBytes < payload_len) break;
-    const std::string_view payload =
-        bytes.substr(pos + kWalFrameBytes, payload_len);
-    if (GetU32(bytes, pos + 4) != Crc32c(payload.data(), payload.size())) {
-      break;
-    }
-    MutationRecord record;
-    if (!ParsePayload(payload, dim, &record)) break;
-    pos += kWalFrameBytes + payload_len;
-    replay.valid_bytes = pos;
+  replay.committed_bytes = kWalHeaderBytes;  // empty log commits nothing
+  replay.valid_bytes = kWalHeaderBytes;
+  ByteCursor log(bytes.substr(kWalHeaderBytes), kWalHeaderBytes);
+  for (MutationRecord record; ReadFrame(log, dim, &record);
+       record = MutationRecord()) {
+    replay.valid_bytes = log.FileOffset();
     const bool is_commit = record.kind == MutationKind::kCommit;
     if (is_commit) {
       replay.generation = record.generation;
@@ -163,7 +133,7 @@ StatusOr<WalReplay> ReplayMutationLog(std::string_view bytes, uint32_t dim) {
     records.push_back(std::move(record));
     if (is_commit) {
       committed_records = records.size();
-      replay.committed_bytes = pos;
+      replay.committed_bytes = replay.valid_bytes;
     }
   }
   replay.truncated_tail = replay.valid_bytes != bytes.size();
@@ -176,48 +146,36 @@ StatusOr<WalReplay> ReplayMutationLog(std::string_view bytes, uint32_t dim) {
 // ------------------------------------------------- generation manifest
 
 std::string SerializeGenerationManifest(const GenerationManifest& manifest) {
-  std::string out;
-  out.reserve(kGenManifestBytes);
-  out.append(kGenManifestMagic, sizeof(kGenManifestMagic));
-  PutU32(&out, kGenManifestVersion);
-  PutU32(&out, manifest.dim);
-  PutU32(&out, manifest.num_shards);
-  PutU64(&out, manifest.generation);
-  PutU32(&out, manifest.next_id);
-  PutU64(&out, manifest.seed);
-  PutU32(&out, Crc32c(out.data(), out.size()));
+  ByteWriter out(kGenManifestBytes);
+  out.Bytes(kGenManifestPrologue.magic);
+  out.U32(kGenManifestVersion);
+  out.U32(manifest.dim);
+  out.U32(manifest.num_shards);
+  out.U64(manifest.generation);
+  out.U32(manifest.next_id);
+  out.U64(manifest.seed);
+  out.Crc32cSince(0);
   WEAVESS_CHECK(out.size() == kGenManifestBytes);
-  return out;
+  return out.Release();
 }
 
 StatusOr<GenerationManifest> DeserializeGenerationManifest(
     std::string_view bytes) {
+  // Fixed-size format: anything but the exact size is corruption, checked
+  // before the prologue so a grown file is never read as a valid one.
   if (bytes.size() != kGenManifestBytes) {
     return Status::Corruption(
         "generation manifest is " + std::to_string(bytes.size()) +
         " bytes, expected " + std::to_string(kGenManifestBytes));
   }
-  if (std::memcmp(bytes.data(), kGenManifestMagic,
-                  sizeof(kGenManifestMagic)) != 0) {
-    return Status::Corruption(
-        "bad magic (not a weavess generation manifest)");
-  }
-  if (GetU32(bytes, kGenManifestBytes - 4) !=
-      Crc32c(bytes.data(), kGenManifestBytes - 4)) {
-    return Status::Corruption("generation manifest CRC mismatch");
-  }
-  const uint32_t version = GetU32(bytes, 8);
-  if (version != kGenManifestVersion) {
-    return Status::NotSupported(
-        "generation manifest version " + std::to_string(version) +
-        "; this build reads version " + std::to_string(kGenManifestVersion));
-  }
+  WEAVESS_ASSIGN_OR_RETURN(ByteCursor fields,
+                           CheckPrologue(bytes, kGenManifestPrologue));
   GenerationManifest manifest;
-  manifest.dim = GetU32(bytes, 12);
-  manifest.num_shards = GetU32(bytes, 16);
-  manifest.generation = GetU64(bytes, 20);
-  manifest.next_id = GetU32(bytes, 28);
-  manifest.seed = GetU64(bytes, 32);
+  WEAVESS_RETURN_IF_ERROR(fields.U32("dim", &manifest.dim));
+  WEAVESS_RETURN_IF_ERROR(fields.U32("num_shards", &manifest.num_shards));
+  WEAVESS_RETURN_IF_ERROR(fields.U64("generation", &manifest.generation));
+  WEAVESS_RETURN_IF_ERROR(fields.U32("next_id", &manifest.next_id));
+  WEAVESS_RETURN_IF_ERROR(fields.U64("seed", &manifest.seed));
   return manifest;
 }
 

@@ -1,8 +1,6 @@
 #include "shard/replica_manifest.h"
 
-#include <cstdio>
-#include <cstring>
-
+#include "core/binary_format.h"
 #include "core/check.h"
 #include "core/crc32c.h"
 #include "core/file_io.h"
@@ -11,45 +9,15 @@ namespace weavess {
 
 namespace {
 
-// Same explicit little-endian convention as shard/manifest.cc: the format
-// is byte-defined, not struct-defined.
-void PutU32(std::string* out, uint32_t v) {
-  char bytes[4];
-  bytes[0] = static_cast<char>(v & 0xFF);
-  bytes[1] = static_cast<char>((v >> 8) & 0xFF);
-  bytes[2] = static_cast<char>((v >> 16) & 0xFF);
-  bytes[3] = static_cast<char>((v >> 24) & 0xFF);
-  out->append(bytes, 4);
-}
-
-void PutString(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s.data(), s.size());
-}
-
-uint32_t GetU32(std::string_view bytes, size_t offset) {
-  const auto* p = reinterpret_cast<const uint8_t*>(bytes.data() + offset);
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
-std::string Hex(uint32_t v) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "0x%08x", v);
-  return buf;
-}
-
-Status CorruptionAt(uint64_t byte_offset, const std::string& what) {
-  return Status::Corruption(what + " at byte offset " +
-                            std::to_string(byte_offset));
-}
+constexpr Prologue kReplicaManifestPrologue{
+    {kReplicaManifestMagic, sizeof(kReplicaManifestMagic)},
+    "replica-set manifest", kReplicaManifestHeaderBytes,
+    kReplicaManifestFormatVersion, kReplicaManifestFormatVersion};
 
 }  // namespace
 
 bool IsReplicaManifestBytes(std::string_view bytes) {
-  return bytes.size() >= sizeof(kReplicaManifestMagic) &&
-         std::memcmp(bytes.data(), kReplicaManifestMagic,
-                     sizeof(kReplicaManifestMagic)) == 0;
+  return bytes.starts_with(kReplicaManifestPrologue.magic);
 }
 
 StatusOr<uint32_t> FileCrc32c(const std::string& path) {
@@ -61,121 +29,59 @@ StatusOr<uint32_t> FileCrc32c(const std::string& path) {
 std::string SerializeReplicaManifest(const ReplicaManifest& manifest) {
   WEAVESS_CHECK(manifest.replicas.size() <= 0xFFFFFFFFu);
 
-  std::string body;
+  ByteWriter body;
   for (const ReplicaManifest::Entry& entry : manifest.replicas) {
-    body.push_back(static_cast<char>(entry.kind));
-    PutString(&body, entry.path);
-    PutU32(&body, entry.file_crc32c);
+    body.U8(static_cast<uint8_t>(entry.kind));
+    body.String(entry.path);
+    body.U32(entry.file_crc32c);
   }
   WEAVESS_CHECK(body.size() <= kMaxReplicaManifestBodyBytes);
 
-  std::string out;
-  out.reserve(kReplicaManifestHeaderBytes + body.size() + 4);
-  out.append(kReplicaManifestMagic, sizeof(kReplicaManifestMagic));
-  PutU32(&out, kReplicaManifestFormatVersion);
-  PutU32(&out, static_cast<uint32_t>(manifest.replicas.size()));
-  PutU32(&out, static_cast<uint32_t>(body.size()));
-  PutU32(&out, Crc32c(out.data(), out.size()));
-  out.append(body);
-  PutU32(&out, Crc32c(body.data(), body.size()));
-  return out;
+  ByteWriter out(kReplicaManifestHeaderBytes + body.size() + 4);
+  out.Bytes(kReplicaManifestPrologue.magic);
+  out.U32(kReplicaManifestFormatVersion);
+  out.U32(static_cast<uint32_t>(manifest.replicas.size()));
+  out.U32(static_cast<uint32_t>(body.size()));
+  out.Crc32cSince(0);
+  out.Bytes(body.bytes());
+  out.Crc32cSince(kReplicaManifestHeaderBytes);
+  return out.Release();
 }
 
 StatusOr<ReplicaManifest> DeserializeReplicaManifest(std::string_view bytes) {
-  if (bytes.size() < kReplicaManifestHeaderBytes) {
-    return Status::Corruption(
-        "file too small: " + std::to_string(bytes.size()) +
-        " bytes, a replica-set manifest needs at least " +
-        std::to_string(kReplicaManifestHeaderBytes));
-  }
-  if (!IsReplicaManifestBytes(bytes)) {
-    return CorruptionAt(0, "bad magic (not a weavess replica-set manifest)");
-  }
-  const uint32_t stored_header_crc =
-      GetU32(bytes, kReplicaManifestHeaderBytes - 4);
-  const uint32_t computed_header_crc =
-      Crc32c(bytes.data(), kReplicaManifestHeaderBytes - 4);
-  if (stored_header_crc != computed_header_crc) {
-    return CorruptionAt(kReplicaManifestHeaderBytes - 4,
-                        "header CRC mismatch: stored " +
-                            Hex(stored_header_crc) + ", computed " +
-                            Hex(computed_header_crc));
-  }
-  const uint32_t version = GetU32(bytes, 9);
-  if (version != kReplicaManifestFormatVersion) {
-    return Status::NotSupported(
-        "replica-set manifest format version " + std::to_string(version) +
-        "; this build reads version " +
-        std::to_string(kReplicaManifestFormatVersion));
-  }
-  const uint32_t num_replicas = GetU32(bytes, 13);
-  const uint32_t body_len = GetU32(bytes, 17);
-  if (body_len > kMaxReplicaManifestBodyBytes) {
-    return CorruptionAt(17, "body length " + std::to_string(body_len) +
-                                " exceeds the " +
-                                std::to_string(kMaxReplicaManifestBodyBytes) +
-                                "-byte cap");
-  }
-  const uint64_t expected =
-      kReplicaManifestHeaderBytes + uint64_t{body_len} + 4;
-  if (bytes.size() != expected) {
-    return Status::Corruption(
-        "file size mismatch: header promises " + std::to_string(expected) +
-        " bytes, file has " + std::to_string(bytes.size()));
-  }
-  const std::string_view body =
-      bytes.substr(kReplicaManifestHeaderBytes, body_len);
-  const uint32_t stored_body_crc =
-      GetU32(bytes, kReplicaManifestHeaderBytes + body_len);
-  const uint32_t computed_body_crc = Crc32c(body.data(), body.size());
-  if (stored_body_crc != computed_body_crc) {
-    return CorruptionAt(kReplicaManifestHeaderBytes + body_len,
-                        "body CRC mismatch: stored " + Hex(stored_body_crc) +
-                            ", computed " + Hex(computed_body_crc));
-  }
+  WEAVESS_ASSIGN_OR_RETURN(ByteCursor header,
+                           CheckPrologue(bytes, kReplicaManifestPrologue));
+  uint32_t num_replicas = 0;
+  WEAVESS_RETURN_IF_ERROR(header.U32("num_replicas", &num_replicas));
+  WEAVESS_ASSIGN_OR_RETURN(
+      ByteCursor body, CheckBody(bytes, kReplicaManifestHeaderBytes, header,
+                                 kMaxReplicaManifestBodyBytes));
+  // An entry holds at least a kind byte, a path length, and a file CRC.
+  WEAVESS_RETURN_IF_ERROR(body.CheckCount(num_replicas, 9, "replica"));
 
   ReplicaManifest manifest;
   manifest.replicas.resize(num_replicas);
-  size_t pos = 0;
-  const auto need = [&](size_t n, const char* what) -> Status {
-    if (body.size() - pos < n) {
-      return CorruptionAt(kReplicaManifestHeaderBytes + pos,
-                          std::string("manifest body truncated reading ") +
-                              what);
-    }
-    return Status::OK();
-  };
   for (uint32_t r = 0; r < num_replicas; ++r) {
     ReplicaManifest::Entry& entry = manifest.replicas[r];
-    const std::string what = "replica " + std::to_string(r) + " entry";
-    WEAVESS_RETURN_IF_ERROR(need(1, what.c_str()));
-    const uint8_t kind = static_cast<uint8_t>(body[pos]);
-    ++pos;
+    const std::string replica = "replica " + std::to_string(r);
+    const std::string what = replica + " entry";
+    uint8_t kind = 0;
+    WEAVESS_RETURN_IF_ERROR(body.U8(what, &kind));
     if (kind > static_cast<uint8_t>(ReplicaManifest::Kind::kShardManifest)) {
-      return CorruptionAt(kReplicaManifestHeaderBytes + pos - 1,
-                          "replica " + std::to_string(r) +
-                              " has unknown source kind " +
+      return CorruptionAt(body.FileOffset() - 1,
+                          replica + " has unknown source kind " +
                               std::to_string(kind));
     }
     entry.kind = static_cast<ReplicaManifest::Kind>(kind);
-    WEAVESS_RETURN_IF_ERROR(need(4, what.c_str()));
-    const uint32_t path_len = GetU32(body, pos);
-    pos += 4;
-    WEAVESS_RETURN_IF_ERROR(need(path_len, what.c_str()));
-    entry.path.assign(body.data() + pos, path_len);
-    pos += path_len;
+    WEAVESS_RETURN_IF_ERROR(body.String(what, &entry.path));
     if (entry.path.empty()) {
-      return CorruptionAt(kReplicaManifestHeaderBytes + pos,
-                          "replica " + std::to_string(r) +
-                              " has an empty path");
+      return CorruptionAt(body.FileOffset(), replica + " has an empty path");
     }
-    WEAVESS_RETURN_IF_ERROR(need(4, what.c_str()));
-    entry.file_crc32c = GetU32(body, pos);
-    pos += 4;
+    WEAVESS_RETURN_IF_ERROR(body.U32(what, &entry.file_crc32c));
   }
-  if (pos != body.size()) {
-    return CorruptionAt(kReplicaManifestHeaderBytes + pos,
-                        std::to_string(body.size() - pos) +
+  if (body.remaining() != 0) {
+    return CorruptionAt(body.FileOffset(),
+                        std::to_string(body.remaining()) +
                             " trailing bytes after the last replica entry");
   }
   return manifest;

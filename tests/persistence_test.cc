@@ -187,7 +187,7 @@ TEST(PersistenceTest, VerifyReportsEverySectionOnCleanFile) {
   EXPECT_EQ(report.num_edges, 7u);
   EXPECT_EQ(report.metadata, "algo=NSG");
   ASSERT_EQ(report.sections.size(), 4u);
-  for (const GraphSectionReport& section : report.sections) {
+  for (const SectionReport& section : report.sections) {
     EXPECT_TRUE(section.ok) << section.name;
     EXPECT_EQ(section.stored_crc, section.computed_crc) << section.name;
   }
@@ -375,6 +375,32 @@ TEST(PersistenceTest, ShardManifestRejectsBrokenShardMaps) {
         DeserializeManifest(SerializeManifest(range));
     ASSERT_FALSE(loaded.ok());
     EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+  }
+}
+
+TEST(PersistenceTest, ShardManifestHostileCountsAreCorruptionNotAllocation) {
+  // A manifest with no shard entries whose sealed header claims 2^28 shards
+  // (or rows): each header count sizes an allocation, so each must be
+  // bounded by the body bytes that remain, and the failure must name the
+  // offset where the entries would start.
+  ShardManifest empty = MakeSmallManifest();
+  empty.total_vertices = 0;
+  empty.shards.clear();
+  const std::string bytes = SerializeManifest(empty);
+  const std::string entries_offset =
+      "at byte offset " + std::to_string(bytes.size() - 4);
+  for (const size_t field : {size_t{12}, size_t{16}}) {  // shards, rows
+    std::string hostile = bytes;
+    const uint32_t count = 0x10000000u;
+    std::memcpy(&hostile[field], &count, sizeof(count));
+    const uint32_t crc = Crc32c(hostile.data(), kManifestHeaderBytes - 4);
+    std::memcpy(&hostile[kManifestHeaderBytes - 4], &crc, sizeof(crc));
+    StatusOr<ShardManifest> loaded = DeserializeManifest(hostile);
+    ASSERT_FALSE(loaded.ok()) << "field " << field;
+    EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find(entries_offset),
+              std::string::npos)
+        << loaded.status().ToString();
   }
 }
 

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -25,6 +26,7 @@
 
 #include "algorithms/registry.h"
 #include "core/clock.h"
+#include "core/crc32c.h"
 #include "core/file_io.h"
 #include "core/graph_io.h"
 #include "core/status.h"
@@ -680,6 +682,24 @@ TEST(ReplicaManifestTest, EveryFlippedBitIsCaught) {
         DeserializeReplicaManifest(bytes.substr(0, len)).ok())
         << "truncation to " << len << " bytes not caught";
   }
+}
+
+TEST(ReplicaManifestTest, HostileReplicaCountIsCorruptionNotAllocation) {
+  // A 29-byte manifest (empty body) whose sealed header claims 2^28
+  // replicas: the count must be bounded by the body bytes before the
+  // replica table is sized, and the failure must name the body offset.
+  std::string bytes = SerializeReplicaManifest(ReplicaManifest());
+  ASSERT_EQ(bytes.size(), 29u);
+  const uint32_t count = 0x10000000u;
+  std::memcpy(&bytes[13], &count, sizeof(count));
+  const uint32_t crc = Crc32c(bytes.data(), kReplicaManifestHeaderBytes - 4);
+  std::memcpy(&bytes[kReplicaManifestHeaderBytes - 4], &crc, sizeof(crc));
+  const StatusOr<ReplicaManifest> loaded = DeserializeReplicaManifest(bytes);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find("at byte offset 25"),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 // --------------------------- scenario (d): thread-count-invariant traces

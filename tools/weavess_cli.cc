@@ -96,6 +96,7 @@
 #include <vector>
 
 #include "algorithms/registry.h"
+#include "core/binary_format.h"
 #include "core/file_io.h"
 #include "core/graph_io.h"
 #include "core/metrics.h"
@@ -888,24 +889,28 @@ int VerifyReplicaManifest(const char* manifest_path) {
   return worst;
 }
 
+/// Prints the per-section CRC table of a graph or quantized-codes file.
+void PrintSectionTable(const std::vector<SectionReport>& sections) {
+  if (sections.empty()) return;
+  std::printf("  %-10s %10s %12s %12s %12s  %s\n", "section", "offset",
+              "bytes", "stored", "computed", "status");
+  for (const SectionReport& section : sections) {
+    std::printf("  %-10s %10llu %12llu   0x%08x   0x%08x  %s\n",
+                section.name.c_str(),
+                static_cast<unsigned long long>(section.offset),
+                static_cast<unsigned long long>(section.length),
+                section.stored_crc, section.computed_crc,
+                section.ok ? "OK" : "CRC MISMATCH");
+  }
+}
+
 /// Verifies a WVSSQNT1 quantized-codes file: header CRC plus the mins /
 /// scales / codes section CRCs, with the same per-section table as a graph
 /// file. All sections are reported even after a failure.
 int VerifyQuantized(const char* path) {
   std::printf("verify %s (SQ8 quantized codes)\n", path);
   const QuantFileReport report = VerifyQuantizedFile(path);
-  if (!report.sections.empty()) {
-    std::printf("  %-10s %10s %12s %12s %12s  %s\n", "section", "offset",
-                "bytes", "stored", "computed", "status");
-    for (const QuantSectionReport& section : report.sections) {
-      std::printf("  %-10s %10llu %12llu   0x%08x   0x%08x  %s\n",
-                  section.name.c_str(),
-                  static_cast<unsigned long long>(section.offset),
-                  static_cast<unsigned long long>(section.length),
-                  section.stored_crc, section.computed_crc,
-                  section.ok ? "OK" : "CRC MISMATCH");
-    }
-  }
+  PrintSectionTable(report.sections);
   if (report.status.ok()) {
     std::printf("  format v%u, %u x %u codes (stride %u)\n"
                 "  all sections OK\n",
@@ -932,18 +937,7 @@ int CmdVerify(const Args& args) {
   if (IsQuantizedBytes(head)) return VerifyQuantized(graph_path);
   const GraphFileReport report = VerifyGraphFile(graph_path);
   std::printf("verify %s\n", graph_path);
-  if (!report.sections.empty()) {
-    std::printf("  %-10s %10s %12s %12s %12s  %s\n", "section", "offset",
-                "bytes", "stored", "computed", "status");
-    for (const GraphSectionReport& section : report.sections) {
-      std::printf("  %-10s %10llu %12llu   0x%08x   0x%08x  %s\n",
-                  section.name.c_str(),
-                  static_cast<unsigned long long>(section.offset),
-                  static_cast<unsigned long long>(section.length),
-                  section.stored_crc, section.computed_crc,
-                  section.ok ? "OK" : "CRC MISMATCH");
-    }
-  }
+  PrintSectionTable(report.sections);
   if (report.status.ok()) {
     std::printf("  format v%u, %u vertices, %llu edges", report.version,
                 report.num_vertices,
