@@ -1,6 +1,6 @@
 // Versioned, checksummed on-disk format for SQ8 quantized codes, the
 // sibling of the WVSGRPH1 graph format (core/graph_io.h). Full layout in
-// docs/QUANTIZATION.md; in brief (everything little-endian):
+// docs/QUANTIZATION.md; in brief (shared framing of core/binary_format.h):
 //
 //   [ 0..8)   magic "WVSSQNT1"
 //   [ 8..12)  u32 format version (currently 1)

@@ -3,7 +3,7 @@
 // each shard was built (enough to rebuild any shard bit-for-bit — the
 // RepairShard contract), and which per-shard graph file (core/graph_io.h
 // format) holds each shard's adjacency. Full layout in docs/SHARDING.md;
-// in brief (everything little-endian, format family of core/graph_io.h):
+// in brief (shared framing of core/binary_format.h):
 //
 //   [ 0..8)   magic "WVSSHRD1"
 //   [ 8..12)  u32 format version (currently 2)

@@ -6,7 +6,7 @@
 // back to the last commit — so a process killed anywhere restores a
 // consistent generation, never a half-applied batch.
 //
-// File layout (everything little-endian, format family of core/graph_io.h):
+// File layout (shared framing of core/binary_format.h):
 //
 //   [ 0.. 8)  magic "WVSSWAL1"
 //   [ 8..12)  u32 format version (currently 1)

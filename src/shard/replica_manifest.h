@@ -4,7 +4,7 @@
 // (shard/manifest.h) — together with a CRC32C of each referenced file's
 // bytes, so `weavess_cli verify` and ReplicaSet::FromReplicaManifest can
 // tell a bit-rotted replica from a healthy one before it ever serves.
-// Format family of manifest.h (everything little-endian):
+// Shared framing of core/binary_format.h:
 //
 //   [ 0.. 9)  magic "WVSSREPL1"
 //   [ 9..13)  u32 format version (currently 1)

@@ -434,7 +434,7 @@ TEST(FormatMutationTest, CountFieldsAtTheExtremesFailCleanly) {
 
 TEST(FormatMutationTest, RandomMutationsFailCleanly) {
   const uint64_t kExtremes[] = {0, 1, uint64_t{1} << 31, 0xFFFFFFFFull};
-  constexpr int kCasesPerFormat = 1500;
+  constexpr int kCasesPerFormat = 4000;
   for (const Subject& subject : AllSubjects()) {
     Rng rng(2024);
     for (int c = 0; c < kCasesPerFormat; ++c) {
