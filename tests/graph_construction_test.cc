@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <set>
 
 #include "core/metrics.h"
+#include "core/rng.h"
 #include "eval/synthetic.h"
 #include "graph/connectivity.h"
 #include "graph/exact_knng.h"
@@ -250,6 +253,126 @@ TEST(NnDescentTest, PoolsSortedWithoutDuplicates) {
       if (i + 1 < pool.size()) {
         EXPECT_LE(pool[i].distance, pool[i + 1].distance);
       }
+    }
+  }
+}
+
+// Exact pin of the local join's sequential semantics: the final pools
+// (ids, distance bits, and the new/old flag), the distance-evaluation
+// count, and the round count Run() returns. The expected values were
+// recorded from the original in-place single-threaded join; every thread
+// count must reproduce them. Inputs span several join blocks, so block
+// boundaries (where the stage-time admission bounds refresh) are crossed.
+struct PinCase {
+  const char* name;
+  Dataset data;
+  NnDescentParams params;
+  uint64_t pool_hash;
+  uint64_t evals;
+  uint32_t rounds;
+  bool init_from_empty_graph = false;
+};
+
+Dataset RowsFrom(
+    uint32_t n, uint32_t dim, uint64_t seed,
+    const std::function<float(Rng&, uint32_t row, uint32_t d)>& value) {
+  Rng rng(seed);
+  std::vector<float> values(static_cast<size_t>(n) * dim);
+  for (uint32_t i = 0; i < n; ++i) {
+    for (uint32_t d = 0; d < dim; ++d) values[i * dim + d] = value(rng, i, d);
+  }
+  return Dataset(n, dim, values);
+}
+
+uint64_t HashPools(const std::vector<std::vector<Neighbor>>& pools) {
+  uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64
+  auto mix = [&hash](uint32_t word) {
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xFFu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& pool : pools) {
+    mix(static_cast<uint32_t>(pool.size()));
+    for (const Neighbor& entry : pool) {
+      mix(entry.id);
+      mix(std::bit_cast<uint32_t>(entry.distance));
+      mix(entry.checked ? 1u : 0u);
+    }
+  }
+  return hash;
+}
+
+std::vector<PinCase> NnDescentPinCases() {
+  std::vector<PinCase> cases;
+  NnDescentParams params;
+  params.k = 8;
+  params.pool_size = 20;
+  params.sample_size = 6;
+  params.reverse_sample = 6;
+  params.iterations = 6;
+  auto uniform = [](Rng& rng, uint32_t, uint32_t) { return rng.NextFloat(); };
+  // Uniform random rows: the common case.
+  cases.push_back(
+      {"random", RowsFrom(3000, 8, 101, uniform), params,
+       0xb91864b6a28fc8feULL, 3885339, 6});
+  // Every row copies one of 400 small-integer prototypes: exact duplicates
+  // and long runs of equal distances exercise InsertIntoPool's tie scan.
+  const Dataset prototypes =
+      RowsFrom(400, 4, 103, [](Rng& rng, uint32_t, uint32_t) {
+        return static_cast<float>(rng.NextBounded(4));
+      });
+  std::vector<uint32_t> prototype_of(2700);
+  Rng pick(105);
+  for (uint32_t& p : prototype_of) {
+    p = static_cast<uint32_t>(pick.NextBounded(prototypes.size()));
+  }
+  cases.push_back(
+      {"duplicates",
+       RowsFrom(2700, 4, 0,
+                [&](Rng&, uint32_t row, uint32_t d) {
+                  return prototypes.Row(prototype_of[row])[d];
+                }),
+       params, 0x2ef746033721f6f6ULL, 2927073, 4});
+  // Two thirds of the rows sit near 1e20, so most squared distances
+  // overflow to +inf. Seeding from an empty graph starts every pool at k
+  // of its 20 slots, so +inf candidates meet pools with room before the
+  // pools fill and end with +inf as their worst entry.
+  auto overflowing = [](Rng& rng, uint32_t row, uint32_t) {
+    const float scale = row % 3 == 0 ? 1.0f : 1e20f;
+    return (rng.NextFloat() - 0.5f) * scale;
+  };
+  cases.push_back({"overflow", RowsFrom(2600, 6, 107, overflowing), params,
+                   0x309cf3116edccb43ULL, 2153778, 6,
+                   /*init_from_empty_graph=*/true});
+  // k >= n: the pool capacity exceeds the n - 1 other rows, so no pool is
+  // ever full and no candidate may be dropped before replay. Seeding from
+  // an empty graph leaves random gaps in the pools for the joins to fill.
+  NnDescentParams tiny = params;
+  tiny.k = 24;
+  cases.push_back({"n_near_k", RowsFrom(24, 4, 109, overflowing), tiny,
+                   0x0c8a5e8c85d77f59ULL, 16134, 2,
+                   /*init_from_empty_graph=*/true});
+  return cases;
+}
+
+TEST(NnDescentPinTest, PoolsEvalsAndRoundsMatchSequentialReference) {
+  for (PinCase& c : NnDescentPinCases()) {
+    for (const uint32_t threads : {1u, 2u, 8u}) {
+      c.params.num_threads = threads;
+      DistanceCounter counter;
+      NnDescent descent(c.data, c.params, &counter);
+      if (c.init_from_empty_graph) {
+        descent.InitFromGraph(Graph(c.data.size()));
+      } else {
+        descent.InitRandom();
+      }
+      const uint32_t rounds = descent.Run();
+      EXPECT_EQ(HashPools(descent.pools()), c.pool_hash)
+          << c.name << " at " << threads << " threads";
+      EXPECT_EQ(counter.count, c.evals)
+          << c.name << " at " << threads << " threads";
+      EXPECT_EQ(rounds, c.rounds) << c.name << " at " << threads << " threads";
     }
   }
 }
