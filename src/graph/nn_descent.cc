@@ -1,6 +1,7 @@
 #include "graph/nn_descent.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "core/parallel.h"
@@ -150,136 +151,110 @@ uint32_t NnDescent::Run() {
     }
     // --- Local join: new x new and new x old around every vertex. ---
     const uint64_t updates =
-        workers > 1 ? JoinParallel(new_lists, old_lists, reverse_new,
-                                   reverse_old, workers)
-                    : JoinSequential(new_lists, old_lists, reverse_new,
-                                     reverse_old);
+        Join(new_lists, old_lists, reverse_new, reverse_old, workers);
     if (updates < params_.delta * static_cast<double>(n) * params_.k) break;
   }
   return iterations_run;
 }
 
-uint64_t NnDescent::JoinSequential(
-    const std::vector<std::vector<uint32_t>>& new_lists,
-    const std::vector<std::vector<uint32_t>>& old_lists,
-    const std::vector<std::vector<uint32_t>>& rev_new,
-    const std::vector<std::vector<uint32_t>>& rev_old) {
-  const uint32_t n = data_->size();
-  DistanceOracle oracle(*data_, counter_);
-  uint64_t updates = 0;
-  std::vector<uint32_t> join_new, join_old;
-  for (uint32_t i = 0; i < n; ++i) {
-    join_new = new_lists[i];
-    join_new.insert(join_new.end(), rev_new[i].begin(), rev_new[i].end());
-    join_old = old_lists[i];
-    join_old.insert(join_old.end(), rev_old[i].begin(), rev_old[i].end());
-    for (size_t a = 0; a < join_new.size(); ++a) {
-      const uint32_t u = join_new[a];
-      for (size_t b = a + 1; b < join_new.size(); ++b) {
-        const uint32_t v = join_new[b];
-        if (u == v) continue;
-        const float dist = oracle.Between(u, v);
-        updates += InsertIntoPool(u, v, dist) ? 1 : 0;
-        updates += InsertIntoPool(v, u, dist) ? 1 : 0;
-      }
-      for (uint32_t v : join_old) {
-        if (u == v) continue;
-        const float dist = oracle.Between(u, v);
-        updates += InsertIntoPool(u, v, dist) ? 1 : 0;
-        updates += InsertIntoPool(v, u, dist) ? 1 : 0;
-      }
-    }
-  }
-  return updates;
-}
-
-uint64_t NnDescent::JoinParallel(
-    const std::vector<std::vector<uint32_t>>& new_lists,
-    const std::vector<std::vector<uint32_t>>& old_lists,
-    const std::vector<std::vector<uint32_t>>& rev_new,
-    const std::vector<std::vector<uint32_t>>& rev_old,
-    uint32_t workers) {
-  // Equivalence argument (tested bit-for-bit in parallel_test.cc): the
+uint64_t NnDescent::Join(const std::vector<std::vector<uint32_t>>& new_lists,
+                         const std::vector<std::vector<uint32_t>>& old_lists,
+                         const std::vector<std::vector<uint32_t>>& rev_new,
+                         const std::vector<std::vector<uint32_t>>& rev_old,
+                         uint32_t workers) {
+  // Equivalence argument (pinned in graph_construction_test.cc): the
   // sequential join visits pivots in id order and, per pivot, emits
   // InsertIntoPool calls in a fixed pair order. Each call reads and writes
   // only the target's pool, so the final pool state is fully determined by
-  // the per-pool call sequence. Staging reproduces exactly that sequence:
-  // workers record (target, id, distance) triples per pivot (pure
-  // functions of the frozen join lists — no pool reads), the triples are
-  // bucketed per target in pivot order, and each bucket is replayed
-  // sequentially. Pivots are processed in fixed-size blocks so staging
-  // memory stays bounded at large cardinality; block boundaries preserve
-  // the global pivot order and therefore the per-pool call sequence.
+  // the per-pool call sequence. Here workers stage each pivot's (target,
+  // id, distance) triples — pure functions of the frozen join lists — into
+  // one vector per target stripe, and each stripe replays its pivots in
+  // order, so every pool sees the sequential call sequence. Triples that
+  // the replay would reject are dropped at stage time (see `worst`).
   const uint32_t n = data_->size();
-  constexpr uint32_t kJoinBlock = 4096;
+  constexpr uint32_t kJoinBlock = 1024;
+  const uint32_t stripes = std::min(workers, n);
+  const uint32_t stripe_width = (n + stripes - 1) / stripes;
   WorkerDistanceCounters counters(workers);
+  std::vector<std::vector<uint32_t>> join_new(workers), join_old(workers);
+  // staged[(pivot - block_begin) * stripes + stripe]
   std::vector<std::vector<StagedCandidate>> staged(
-      std::min(n, kJoinBlock));
-  std::vector<std::vector<std::pair<uint32_t, float>>> per_target(n);
-  std::vector<uint32_t> touched;
-  std::vector<uint64_t> worker_updates(workers, 0);
-  uint64_t updates = 0;
+      static_cast<size_t>(std::min(n, kJoinBlock)) * stripes);
+  std::vector<uint64_t> stripe_updates(stripes, 0);
+
+  // Admission bound per target, frozen while a block stages: the worst
+  // distance of a full pool, NaN for a pool that is not full. A full pool
+  // stays full and its worst distance never grows, so `dist >= worst[t]`
+  // means InsertIntoPool would reject the triple on replay; against NaN
+  // the test is false for every distance (+inf and NaN included), just as
+  // InsertIntoPool's own test is false for a pool with room. Finite rows
+  // never produce NaN distances, so a full pool's bound is never NaN.
+  auto bound = [this](uint32_t t) {
+    const auto& pool = pools_[t];
+    return pool.size() == pool_capacity_
+               ? pool.back().distance
+               : std::numeric_limits<float>::quiet_NaN();
+  };
+  std::vector<float> worst(n);
+  for (uint32_t t = 0; t < n; ++t) worst[t] = bound(t);
 
   for (uint32_t block_begin = 0; block_begin < n;
        block_begin += kJoinBlock) {
     const uint32_t block_end = std::min(n, block_begin + kJoinBlock);
-    // Stage: compute every join pair around pivots [block_begin,
-    // block_end) in the sequential visit order. Distance-heavy; parallel.
+    // Stage: every join pair around pivots [block_begin, block_end), in
+    // the sequential visit order. Distance-heavy; parallel over pivots.
     ParallelForWithWorker(
         block_begin, block_end, workers, [&](uint32_t i, uint32_t worker) {
           DistanceOracle oracle(*data_, &counters.of(worker));
-          auto& out = staged[i - block_begin];
-          out.clear();
-          std::vector<uint32_t> join_new = new_lists[i];
-          join_new.insert(join_new.end(), rev_new[i].begin(),
-                          rev_new[i].end());
-          std::vector<uint32_t> join_old = old_lists[i];
-          join_old.insert(join_old.end(), rev_old[i].begin(),
-                          rev_old[i].end());
-          for (size_t a = 0; a < join_new.size(); ++a) {
-            const uint32_t u = join_new[a];
-            for (size_t b = a + 1; b < join_new.size(); ++b) {
-              const uint32_t v = join_new[b];
+          auto* out = &staged[static_cast<size_t>(i - block_begin) * stripes];
+          for (uint32_t s = 0; s < stripes; ++s) out[s].clear();
+          auto stage = [&](uint32_t target, uint32_t id, float dist) {
+            if (dist >= worst[target]) return;
+            out[target / stripe_width].push_back({target, id, dist});
+          };
+          auto& jn = join_new[worker];
+          jn.assign(new_lists[i].begin(), new_lists[i].end());
+          jn.insert(jn.end(), rev_new[i].begin(), rev_new[i].end());
+          auto& jo = join_old[worker];
+          jo.assign(old_lists[i].begin(), old_lists[i].end());
+          jo.insert(jo.end(), rev_old[i].begin(), rev_old[i].end());
+          for (size_t a = 0; a < jn.size(); ++a) {
+            const uint32_t u = jn[a];
+            for (size_t b = a + 1; b < jn.size(); ++b) {
+              const uint32_t v = jn[b];
               if (u == v) continue;
               const float dist = oracle.Between(u, v);
-              out.push_back({u, v, dist});
-              out.push_back({v, u, dist});
+              stage(u, v, dist);
+              stage(v, u, dist);
             }
-            for (uint32_t v : join_old) {
+            for (uint32_t v : jo) {
               if (u == v) continue;
               const float dist = oracle.Between(u, v);
-              out.push_back({u, v, dist});
-              out.push_back({v, u, dist});
+              stage(u, v, dist);
+              stage(v, u, dist);
             }
           }
         });
-    // Bucket in pivot order: per-target candidate sequences now match the
-    // sequential insertion order exactly.
-    for (uint32_t i = block_begin; i < block_end; ++i) {
-      for (const StagedCandidate& c : staged[i - block_begin]) {
-        if (per_target[c.target].empty()) touched.push_back(c.target);
-        per_target[c.target].emplace_back(c.id, c.distance);
+    // Replay: stripes own disjoint pools and bounds, so they commit in
+    // parallel; each replays its pivots in block order.
+    ParallelFor(0, stripes, workers, [&](uint32_t s) {
+      uint64_t local = 0;
+      for (uint32_t p = 0; p < block_end - block_begin; ++p) {
+        for (const StagedCandidate& c :
+             staged[static_cast<size_t>(p) * stripes + s]) {
+          if (!InsertIntoPool(c.target, c.id, c.distance)) continue;
+          ++local;
+          worst[c.target] = bound(c.target);
+        }
       }
-    }
-    // Merge: pools are disjoint per target, so targets commit in
-    // parallel; each pool replays its candidates sequentially in order.
-    ParallelForWithWorker(
-        0, static_cast<uint32_t>(touched.size()), workers,
-        [&](uint32_t t, uint32_t worker) {
-          const uint32_t target = touched[t];
-          uint64_t local = 0;
-          for (const auto& [id, dist] : per_target[target]) {
-            local += InsertIntoPool(target, id, dist) ? 1 : 0;
-          }
-          per_target[target].clear();
-          worker_updates[worker] += local;
-        });
-    touched.clear();
+      stripe_updates[s] += local;
+    });
   }
-  // Updates and distance evaluations fold in worker-index order; both are
-  // sums of per-pool / per-pivot quantities that are themselves
-  // deterministic, so the totals match the sequential join exactly.
-  for (const uint64_t u : worker_updates) updates += u;
+  // Updates and distance evaluations fold in a fixed order; both are sums
+  // of per-pool / per-pivot quantities that do not depend on the thread
+  // count, so the totals match the sequential join exactly.
+  uint64_t updates = 0;
+  for (const uint64_t u : stripe_updates) updates += u;
   counters.FoldInto(counter_);
   return updates;
 }

@@ -1,8 +1,10 @@
 // NN-Descent (Dong et al., WWW'11): iterative KNNG refinement by
 // neighborhood propagation — "my neighbors' neighbors are likely my
 // neighbors". This is the KGraph construction, the neighbor initialization
-// (C1) of NSG / NSSG / DPG, and (seeded by KD-trees) of EFANNA. Complexity
-// is empirically O(|S|^1.14) (Table 2 of the paper).
+// (C1) of NSG / NSSG / DPG / OA, and (seeded by KD-trees) of EFANNA.
+// Complexity is empirically O(|S|^1.14) (Table 2 of the paper). Builds are
+// deterministic: the parallel local join stages candidates and commits
+// them in sequential order, so any thread count gives the same pools.
 #ifndef WEAVESS_GRAPH_NN_DESCENT_H_
 #define WEAVESS_GRAPH_NN_DESCENT_H_
 
@@ -52,16 +54,24 @@ class NnDescent {
 
   /// Runs refinement rounds; returns the number executed (may stop early).
   ///
-  /// With params.num_threads > 1 each round's local join runs as a
-  /// parallel-for over pivot vertices on the shared ThreadPool: workers
-  /// stage (target, candidate, distance) triples instead of mutating pools
-  /// in place, and the staged candidates are then merged into each target's
-  /// pool in deterministic pivot order. Because InsertIntoPool's
+  /// Each round's local join runs on one path at every thread count.
+  /// Pivots are taken in blocks of 1024; within a block, workers (up to
+  /// params.num_threads on the shared ThreadPool) compute each pivot's
+  /// join pairs and stage (target, candidate, distance) triples instead of
+  /// mutating pools. A triple is dropped at stage time when its distance
+  /// is >= the target's admission bound, frozen at the block start: the
+  /// worst distance of a full pool, or NaN for a pool with room (NaN makes
+  /// the test false for every distance). A full pool stays full and its
+  /// worst distance only shrinks, so every dropped triple is one the
+  /// insertion would have rejected. Kept triples go into one vector per
+  /// target stripe (a contiguous id range per worker), and each stripe
+  /// replays its pivots in block order. Because InsertIntoPool's
   /// accept/reject decision depends only on the target pool's own state,
-  /// replaying the exact sequential insertion order per pool makes the
-  /// refined pools — and the distance-evaluation count — bit-for-bit
-  /// identical to the single-threaded run at any thread count
-  /// (docs/CONCURRENCY.md).
+  /// every pool sees exactly the sequential insertion sequence: refined
+  /// pools, the distance-evaluation count and the round count are
+  /// bit-for-bit identical at any thread count. NnDescentPinTest pins
+  /// them against values recorded from the original in-place sequential
+  /// join (docs/CONCURRENCY.md).
   uint32_t Run();
 
   /// Extracts the directed KNNG: each vertex's closest `k` pool entries in
@@ -74,8 +84,7 @@ class NnDescent {
 
  private:
   // One staged join product: candidate `id` at `distance` destined for
-  // pools_[target]. Staging decouples the (parallel, distance-heavy) join
-  // from the (per-pool sequential) merge that keeps builds deterministic.
+  // pools_[target].
   struct StagedCandidate {
     uint32_t target;
     uint32_t id;
@@ -86,20 +95,14 @@ class NnDescent {
   // the pool changed. `Neighbor::checked == false` marks "new" entries.
   bool InsertIntoPool(uint32_t node, uint32_t id, float distance);
 
-  // One round's local join over every pivot vertex, in place (the original
-  // sequential formulation). Returns the number of pool updates.
-  uint64_t JoinSequential(const std::vector<std::vector<uint32_t>>& new_lists,
-                          const std::vector<std::vector<uint32_t>>& old_lists,
-                          const std::vector<std::vector<uint32_t>>& rev_new,
-                          const std::vector<std::vector<uint32_t>>& rev_old);
-
-  // The same join, staged block-by-block across `workers` threads and
-  // merged in pivot order — bit-for-bit identical to JoinSequential.
-  uint64_t JoinParallel(const std::vector<std::vector<uint32_t>>& new_lists,
-                        const std::vector<std::vector<uint32_t>>& old_lists,
-                        const std::vector<std::vector<uint32_t>>& rev_new,
-                        const std::vector<std::vector<uint32_t>>& rev_old,
-                        uint32_t workers);
+  // One round's local join over every pivot vertex, staged across
+  // `workers` threads and replayed per target stripe (see Run). Returns
+  // the number of pool updates.
+  uint64_t Join(const std::vector<std::vector<uint32_t>>& new_lists,
+                const std::vector<std::vector<uint32_t>>& old_lists,
+                const std::vector<std::vector<uint32_t>>& rev_new,
+                const std::vector<std::vector<uint32_t>>& rev_old,
+                uint32_t workers);
 
   const Dataset* data_;
   NnDescentParams params_;

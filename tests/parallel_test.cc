@@ -106,11 +106,11 @@ TEST(ParallelTest, GroundTruthThreadCountInvariant) {
 
 TEST(ParallelTest, BuildThreadCountInvariantAcrossAlgorithms) {
   // The deterministic-construction contract of docs/CONCURRENCY.md: the
-  // staged NN-Descent joins (KGraph, EFANNA) and HNSW's batched insertion
-  // must produce bit-identical adjacency — and an identical distance-
-  // evaluation count — at 1, 2, and 8 build threads.
+  // staged NN-Descent joins (KGraph, EFANNA, DPG, NSSG, OA) and HNSW's
+  // batched insertion must produce bit-identical adjacency — and an
+  // identical distance-evaluation count — at 1, 2, and 8 build threads.
   const auto tw = ::weavess::testing::MakeTestWorkload(500, 8, 10);
-  for (const char* algo : {"KGraph", "EFANNA", "HNSW"}) {
+  for (const char* algo : {"KGraph", "EFANNA", "DPG", "NSSG", "OA", "HNSW"}) {
     std::unique_ptr<AnnIndex> reference;
     uint64_t reference_evals = 0;
     for (const uint32_t threads : {1u, 2u, 8u}) {
