@@ -76,6 +76,7 @@ StatusOr<ShardManifest> DeserializeManifest(std::string_view bytes) {
       CheckBody(bytes, kManifestHeaderBytes, header, kMaxManifestBodyBytes));
 
   ShardManifest manifest;
+  manifest.format_version = version;
   manifest.total_vertices = total_vertices;
   WEAVESS_RETURN_IF_ERROR(cursor.String("algorithm", &manifest.algorithm));
   WEAVESS_RETURN_IF_ERROR(

@@ -71,6 +71,10 @@ struct ShardManifest {
   /// mutable path cross-checks it against its generation manifest.
   uint64_t generation = 0;
   std::vector<Entry> shards;
+  /// Format version the manifest was read from (set by
+  /// DeserializeManifest). SerializeManifest ignores it and always writes
+  /// kManifestFormatVersion.
+  uint32_t format_version = kManifestFormatVersion;
 };
 
 std::string SerializeManifest(const ShardManifest& manifest);

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "algorithms/registry.h"
+#include "core/binary_format.h"
 #include "core/crc32c.h"
 #include "core/file_io.h"
 #include "core/graph.h"
@@ -376,6 +377,85 @@ TEST(PersistenceTest, ShardManifestRejectsBrokenShardMaps) {
     ASSERT_FALSE(loaded.ok());
     EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
   }
+}
+
+// The v1 layout of `manifest`: the current layout without the generation
+// field, which version 2 added after the partitioner string.
+std::string SerializeManifestV1(const ShardManifest& manifest) {
+  const std::string v2 = SerializeManifest(manifest);
+  const size_t generation_at = kManifestHeaderBytes + 4 +
+                               manifest.algorithm.size() + 4 +
+                               manifest.partitioner.size();
+  ByteWriter out;
+  out.Bytes({kManifestMagic, sizeof(kManifestMagic)});
+  out.U32(1);
+  out.U32(static_cast<uint32_t>(manifest.shards.size()));
+  out.U32(manifest.total_vertices);
+  out.U32(static_cast<uint32_t>(v2.size() - kManifestHeaderBytes - 4 - 8));
+  out.Crc32cSince(0);
+  out.Bytes(std::string_view(v2).substr(
+      kManifestHeaderBytes, generation_at - kManifestHeaderBytes));
+  out.Bytes(std::string_view(v2).substr(generation_at + 8,
+                                        v2.size() - 4 - generation_at - 8));
+  out.Crc32cSince(kManifestHeaderBytes);
+  return out.Release();
+}
+
+TEST(PersistenceTest, ShardManifestReportsTheVersionItWasReadFrom) {
+  ShardManifest manifest = MakeSmallManifest();
+  manifest.generation = 9;
+  StatusOr<ShardManifest> v2 = DeserializeManifest(SerializeManifest(manifest));
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  EXPECT_EQ(v2->format_version, 2u);
+  EXPECT_EQ(v2->generation, 9u);
+
+  StatusOr<ShardManifest> v1 =
+      DeserializeManifest(SerializeManifestV1(manifest));
+  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
+  EXPECT_EQ(v1->format_version, 1u);
+  EXPECT_EQ(v1->generation, 0u);
+  EXPECT_EQ(v1->shards[1].ids, (std::vector<uint32_t>{1, 3, 5}));
+  // The field is read-only provenance: re-serializing writes the current
+  // version.
+  v1->generation = 9;
+  EXPECT_EQ(SerializeManifest(*v1), SerializeManifest(manifest));
+}
+
+TEST(PersistenceTest, CliVerifyPrintsTheManifestsOwnVersion) {
+  // `weavess_cli verify` on a v1 manifest must say "format v1", not the
+  // version this build writes.
+  const auto tw = MakeTestWorkload(200, 8, 4);
+  AlgorithmOptions options;
+  options.num_shards = 2;
+  auto built = CreateAlgorithm("Sharded:HNSW", options);
+  built->Build(tw.workload.base);
+  const std::string prefix = TempPath("cli_v1");
+  ASSERT_TRUE(dynamic_cast<ShardedIndex*>(built.get())->Save(prefix).ok());
+  const std::string manifest_path = prefix + ".manifest";
+  StatusOr<ShardManifest> saved = LoadManifest(manifest_path);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+
+  auto verify = [&manifest_path](int* exit_code) {
+    const std::string command = std::string(WEAVESS_CLI_PATH) +
+                                " verify --graph " + manifest_path;
+    FILE* pipe = popen(command.c_str(), "r");
+    std::string output;
+    char buffer[256];
+    while (fgets(buffer, sizeof(buffer), pipe) != nullptr) output += buffer;
+    *exit_code = pclose(pipe);
+    return output;
+  };
+  int exit_code = -1;
+  EXPECT_NE(verify(&exit_code).find("format v2,"), std::string::npos);
+  EXPECT_EQ(exit_code, 0);
+
+  ASSERT_TRUE(
+      WriteStringToFile(SerializeManifestV1(*saved), manifest_path).ok());
+  const std::string output = verify(&exit_code);
+  EXPECT_NE(output.find("format v1,"), std::string::npos) << output;
+  EXPECT_NE(output.find("all 2 shard file(s) OK"), std::string::npos)
+      << output;
+  EXPECT_EQ(exit_code, 0);
 }
 
 TEST(PersistenceTest, ShardManifestHostileCountsAreCorruptionNotAllocation) {

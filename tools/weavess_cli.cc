@@ -797,7 +797,7 @@ int VerifyManifest(const char* manifest_path) {
   std::printf(
       "  format v%u, algorithm %s, partitioner %s, %u vertices over %zu "
       "shard(s)\n  manifest OK\n",
-      kManifestFormatVersion, manifest.algorithm.c_str(),
+      manifest.format_version, manifest.algorithm.c_str(),
       manifest.partitioner.c_str(), manifest.total_vertices,
       manifest.shards.size());
   Status worst;
