@@ -53,6 +53,17 @@ const std::vector<uint32_t>& DynamicHnsw::BaseNeighbors(uint32_t id) const {
   return links_[id][0];
 }
 
+uint32_t DynamicHnsw::Level(uint32_t id) const {
+  WEAVESS_CHECK(id < num_points_);
+  return static_cast<uint32_t>(links_[id].size()) - 1;
+}
+
+const std::vector<uint32_t>& DynamicHnsw::Neighbors(uint32_t id,
+                                                    uint32_t level) const {
+  WEAVESS_CHECK(id < num_points_ && level < links_[id].size());
+  return links_[id][level];
+}
+
 uint32_t DynamicHnsw::GreedyStep(const float* query, uint32_t entry,
                                  uint32_t level, uint64_t* ndc) const {
   uint32_t current = entry;

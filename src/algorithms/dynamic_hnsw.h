@@ -93,6 +93,12 @@ class DynamicHnsw {
   uint32_t dim() const { return dim_; }
   /// Level-0 adjacency of id (the navigable base layer).
   const std::vector<uint32_t>& BaseNeighbors(uint32_t id) const;
+  /// Top level of id (it has adjacency at levels 0..Level(id)).
+  uint32_t Level(uint32_t id) const;
+  /// Adjacency of id at `level` (<= Level(id)), in insertion order.
+  const std::vector<uint32_t>& Neighbors(uint32_t id, uint32_t level) const;
+  uint32_t entry_point() const { return entry_point_; }
+  uint32_t max_level() const { return max_level_; }
   /// Distance evaluations spent by construction so far (Add/Compact).
   uint64_t build_distance_evals() const { return build_evals_; }
   size_t IndexMemoryBytes() const;

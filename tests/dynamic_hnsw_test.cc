@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "algorithms/dynamic_hnsw.h"
 #include "core/distance.h"
@@ -166,6 +168,257 @@ TEST_F(DynamicHnswTest, StatsReported) {
   EXPECT_GT(stats.hops, 0u);
   EXPECT_GT(index.IndexMemoryBytes(),
             300u * workload_.base.dim() * sizeof(float));
+}
+
+// ------------------------------------------------------------------ pins
+//
+// DynamicHnswPinTest pins the exact structures, construction spend and
+// search traces of seeded add/remove/compact scripts, recorded from the
+// original per-vertex-vector store. The walk it hashes is layout-
+// independent (per vertex: level, neighbour lists per level in order,
+// tombstone bit, row bytes; plus entry point and max level), so any storage
+// layout that keeps GreedyStep/SearchLevel/Connect and the RNG stream
+// unchanged reproduces every pin. A moved pin means the insertion logic,
+// not just the layout, changed.
+
+uint64_t SplitMix(uint64_t& state) {
+  uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+class Fnv {
+ public:
+  void Bytes(const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash_ = (hash_ ^ bytes[i]) * 0x100000001b3ULL;
+    }
+  }
+  void Add(uint64_t value) { Bytes(&value, sizeof(value)); }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+uint64_t HashStructure(const DynamicHnsw& index) {
+  Fnv h;
+  h.Add(index.size());
+  h.Add(index.num_deleted());
+  h.Add(index.entry_point());
+  h.Add(index.max_level());
+  for (uint32_t id = 0; id < index.size(); ++id) {
+    h.Add(index.Level(id));
+    for (uint32_t level = 0; level <= index.Level(id); ++level) {
+      const auto& neighbors = index.Neighbors(id, level);
+      h.Add(neighbors.size());
+      for (uint32_t neighbor : neighbors) h.Add(neighbor);
+    }
+    h.Add(index.IsDeleted(id) ? 1 : 0);
+    h.Bytes(index.Vector(id), index.dim() * sizeof(float));
+  }
+  return h.value();
+}
+
+struct Pin {
+  uint32_t size;
+  uint32_t live;
+  uint64_t build_evals;
+  uint64_t structure;
+  uint64_t query_ids;  // hash of every query's result ids, in order
+  uint64_t ndc;        // summed over the queries
+  uint64_t hops;
+};
+
+struct PinScenario {
+  uint32_t dim = 0;
+  std::vector<float> rows;     // script rows, row-major
+  std::vector<float> queries;  // 50 query rows
+  DynamicHnsw::Params params;
+  uint32_t pool_size = 40;
+  const float* Row(uint32_t i) const {
+    return rows.data() + static_cast<size_t>(i) * dim;
+  }
+  uint32_t num_rows() const {
+    return static_cast<uint32_t>(rows.size() / dim);
+  }
+};
+
+Pin Capture(const DynamicHnsw& index, const PinScenario& scenario) {
+  Pin pin{index.size(), index.live_size(), index.build_distance_evals(),
+          HashStructure(index), 0, 0, 0};
+  SearchScratch scratch(std::max<uint32_t>(index.size(), 1));
+  SearchParams params;
+  params.k = 10;
+  params.pool_size = scenario.pool_size;
+  Fnv ids;
+  for (size_t q = 0; q < scenario.queries.size() / scenario.dim; ++q) {
+    QueryStats stats;
+    const std::vector<uint32_t> result = index.SearchWith(
+        scratch, scenario.queries.data() + q * scenario.dim, params, &stats);
+    ids.Add(result.size());
+    for (uint32_t id : result) ids.Add(id);
+    pin.ndc += stats.distance_evals;
+    pin.hops += stats.hops;
+  }
+  pin.query_ids = ids.value();
+  return pin;
+}
+
+void ExpectPin(const Pin& actual, const Pin& expected, const char* what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(actual.size, expected.size);
+  EXPECT_EQ(actual.live, expected.live);
+  EXPECT_EQ(actual.build_evals, expected.build_evals);
+  EXPECT_EQ(actual.structure, expected.structure);
+  EXPECT_EQ(actual.query_ids, expected.query_ids);
+  EXPECT_EQ(actual.ndc, expected.ndc);
+  EXPECT_EQ(actual.hops, expected.hops);
+}
+
+// Adds rows [begin, end); after each add, one in `remove_every` steps
+// tombstones a pseudo-random id (possibly an already-removed one, which is
+// a no-op). Compacts once when the add at `compact_at` lands.
+void RunScript(DynamicHnsw& index, const PinScenario& scenario,
+               uint32_t begin, uint32_t end, uint64_t seed,
+               uint32_t remove_every, uint32_t compact_at) {
+  uint64_t state = seed;
+  for (uint32_t i = begin; i < end; ++i) {
+    index.Add(scenario.Row(i));
+    if (SplitMix(state) % remove_every == 0) {
+      index.Remove(static_cast<uint32_t>(SplitMix(state) % index.size()));
+    }
+    if (i == compact_at) index.Compact();
+  }
+}
+
+PinScenario RandomRows(uint32_t n, uint32_t dim, uint64_t seed) {
+  PinScenario scenario;
+  scenario.dim = dim;
+  uint64_t state = seed;
+  const auto uniform = [&] {
+    return static_cast<float>(SplitMix(state) >> 40) / 16777216.0f;
+  };
+  scenario.rows.resize(static_cast<size_t>(n) * dim);
+  for (float& value : scenario.rows) value = uniform();
+  scenario.queries.resize(static_cast<size_t>(50) * dim);
+  for (float& value : scenario.queries) value = uniform();
+  return scenario;
+}
+
+// Every row is one of `distinct` small-integer prototypes: most distances
+// tie exactly, so neighbour order rests entirely on the tie-breaking rules.
+PinScenario DuplicateRows(uint32_t n, uint32_t dim, uint32_t distinct,
+                          uint64_t seed) {
+  PinScenario scenario;
+  scenario.dim = dim;
+  uint64_t state = seed;
+  std::vector<float> prototypes(static_cast<size_t>(distinct) * dim);
+  for (float& value : prototypes) {
+    value = static_cast<float>(SplitMix(state) % 5);
+  }
+  scenario.rows.resize(static_cast<size_t>(n) * dim);
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint32_t p = static_cast<uint32_t>(SplitMix(state) % distinct);
+    std::memcpy(scenario.rows.data() + static_cast<size_t>(i) * dim,
+                prototypes.data() + static_cast<size_t>(p) * dim,
+                dim * sizeof(float));
+  }
+  scenario.queries.resize(static_cast<size_t>(50) * dim);
+  for (float& value : scenario.queries) {
+    value = static_cast<float>(SplitMix(state) % 9) * 0.5f;
+  }
+  return scenario;
+}
+
+// Runs the three-phase script shared by the pin scenarios: a main script
+// over rows [0, main_end), then a copy that diverges on the remaining rows
+// while the original takes its own removes and adds. Copies must behave
+// as if independent, so the original is re-hashed after the copy's script.
+void RunPinScenario(const PinScenario& scenario, uint32_t main_end,
+                    uint32_t remove_every, const Pin& expected_main,
+                    const Pin& expected_fork, const Pin& expected_original) {
+  DynamicHnsw index(scenario.dim, scenario.params);
+  RunScript(index, scenario, 0, main_end, 11, remove_every, main_end / 2);
+  const Pin main = Capture(index, scenario);
+  ExpectPin(main, expected_main, "main script");
+
+  DynamicHnsw fork(index);
+  const uint32_t end = scenario.num_rows();
+  RunScript(fork, scenario, main_end, end, 23, remove_every,
+            main_end + (end - main_end) / 2);
+  EXPECT_EQ(HashStructure(index), main.structure)
+      << "mutating a copy changed the original";
+  ExpectPin(Capture(fork, scenario), expected_fork, "fork");
+
+  uint64_t state = 37;
+  for (uint32_t step = 0; step < 40; ++step) {
+    index.Remove(static_cast<uint32_t>(SplitMix(state) % index.size()));
+  }
+  RunScript(index, scenario, main_end, std::min(end, main_end + 20), 41,
+            remove_every, end);
+  ExpectPin(Capture(index, scenario), expected_original, "original");
+}
+
+TEST(DynamicHnswPinTest, RandomRows) {
+  PinScenario scenario = RandomRows(3300, 16, 101);
+  scenario.params.m = 8;
+  scenario.params.ef_construction = 48;
+  scenario.params.seed = 7;
+  RunPinScenario(scenario, 3000, 4,
+                 {2699, 2347, 2160576, 17132265241297694461ULL,
+                  16265111265311753115ULL, 25549, 3223},
+                 {2605, 2564, 3663334, 8291743264926401499ULL,
+                  11798201346746846471ULL, 25541, 3232},
+                 {2719, 2325, 2174469, 8399253257222539274ULL,
+                  1864223178690237685ULL, 25571, 3222});
+}
+
+TEST(DynamicHnswPinTest, DuplicateHeavyRows) {
+  PinScenario scenario = DuplicateRows(2700, 8, 30, 202);
+  scenario.params.m = 5;
+  scenario.params.ef_construction = 32;
+  scenario.params.seed = 9;
+  RunPinScenario(scenario, 2400, 3,
+                 {2095, 1725, 371864, 18445407316666555407ULL,
+                  5551441567055039742ULL, 4950, 3761},
+                 {1988, 1945, 606699, 9596611886328369314ULL,
+                  13020623094533094137ULL, 4947, 3580},
+                 {2115, 1711, 374321, 17832624195357939462ULL,
+                  10899395302806898964ULL, 4984, 3777});
+}
+
+TEST(DynamicHnswPinTest, TinySetBelowOnePage) {
+  // Fewer vertices than one 64-vertex page, an odd dimension, and the
+  // default degree bound.
+  PinScenario scenario = RandomRows(48, 5, 303);
+  scenario.pool_size = 16;
+  RunPinScenario(scenario, 40, 3,
+                 {34, 28, 1987, 18195057161100427442ULL,
+                  18218183088666133276ULL, 1934, 1202},
+                 {35, 35, 3971, 4502966199711436254ULL,
+                  3750322780069344731ULL, 1889, 900},
+                 {42, 15, 2833, 16938298553047388370ULL,
+                  9340143935122873597ULL, 2334, 1304});
+}
+
+TEST(DynamicHnswPinTest, CompactToEmptyThenRegrow) {
+  PinScenario scenario = RandomRows(60, 7, 404);
+  scenario.params.m = 3;
+  scenario.params.ef_construction = 12;
+  scenario.pool_size = 16;
+  DynamicHnsw index(scenario.dim, scenario.params);
+  RunScript(index, scenario, 0, 30, 5, 2, 30);
+  for (uint32_t id = 0; id < index.size(); ++id) index.Remove(id);
+  EXPECT_TRUE(index.Compact().empty());
+  EXPECT_EQ(index.size(), 0u);
+  RunScript(index, scenario, 30, 60, 6, 5, 45);
+  ExpectPin(Capture(index, scenario),
+            {27, 26, 2475, 2425831933274327265ULL, 1345820407447755370ULL,
+             1998, 1103},
+            "regrown");
 }
 
 }  // namespace
