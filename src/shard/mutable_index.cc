@@ -175,10 +175,15 @@ StatusOr<uint32_t> MutableShardedIndex::Add(const float* vector) {
   // Log before apply: a record that fails to append is never applied, so
   // the in-memory state can't run ahead of what recovery could restore.
   WEAVESS_RETURN_IF_ERROR(AppendRecordLocked(record));
-  shards_[ShardOf(global_id)]->Add(global_id, vector);
+  MutableShard& shard = *shards_[ShardOf(global_id)];
+  const uint64_t copied_before = shard.copied_bytes();
+  shard.Add(global_id, vector);
   next_id_.store(global_id + 1, std::memory_order_release);
   live_count_.fetch_add(1, std::memory_order_acq_rel);
   if (counters_.adds != nullptr) counters_.adds->Add(1);
+  if (counters_.copied_bytes != nullptr) {
+    counters_.copied_bytes->Add(shard.copied_bytes() - copied_before);
+  }
   return global_id;
 }
 
@@ -197,9 +202,13 @@ Status MutableShardedIndex::Remove(uint32_t global_id) {
   record.kind = MutationKind::kRemove;
   record.id = global_id;
   WEAVESS_RETURN_IF_ERROR(AppendRecordLocked(record));
+  const uint64_t copied_before = shard.copied_bytes();
   WEAVESS_CHECK(shard.Remove(global_id));
   live_count_.fetch_sub(1, std::memory_order_acq_rel);
   if (counters_.removes != nullptr) counters_.removes->Add(1);
+  if (counters_.copied_bytes != nullptr) {
+    counters_.copied_bytes->Add(shard.copied_bytes() - copied_before);
+  }
   return Status::OK();
 }
 
@@ -358,6 +367,7 @@ void MutableShardedIndex::set_metrics(MetricsRegistry* metrics) {
   counters_.compaction_failures =
       metrics->GetCounter("mutation.compaction_failures");
   counters_.wal_records = metrics->GetCounter("mutation.wal_records");
+  counters_.copied_bytes = metrics->GetCounter("mutation.copied_bytes");
 }
 
 }  // namespace weavess

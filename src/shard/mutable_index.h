@@ -161,7 +161,8 @@ class MutableShardedIndex {
 
   /// Tags every subsequent mutation with `mutation.*` counters in
   /// `metrics` (docs/OBSERVABILITY.md): adds, removes, commits,
-  /// compactions, compaction_failures, wal_records. nullptr detaches.
+  /// compactions, compaction_failures, wal_records, copied_bytes. nullptr
+  /// detaches.
   /// Requires mutation quiescence, like ShardedIndex::set_metrics; the
   /// registry must outlive the index.
   void set_metrics(MetricsRegistry* metrics);
@@ -214,6 +215,7 @@ class MutableShardedIndex {
     Counter* compactions = nullptr;
     Counter* compaction_failures = nullptr;
     Counter* wal_records = nullptr;
+    Counter* copied_bytes = nullptr;
   };
   MutationCounters counters_;
 

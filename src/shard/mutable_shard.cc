@@ -9,10 +9,9 @@
 namespace weavess {
 
 MutableShard::MutableShard(uint32_t dim, const DynamicHnsw::Params& params)
-    : dim_(dim), params_(params) {
+    : writer_(dim, params) {
   auto initial = std::make_shared<Snapshot>();
-  initial->index = std::make_shared<const DynamicHnsw>(dim_, params_);
-  initial->local_to_global = std::make_shared<const std::vector<uint32_t>>();
+  initial->index = std::make_shared<const DynamicHnsw>(writer_);
   published_ = std::move(initial);
 }
 
@@ -20,15 +19,13 @@ std::shared_ptr<const MutableShard::Snapshot> MutableShard::Pin() const {
   return std::atomic_load_explicit(&published_, std::memory_order_acquire);
 }
 
-void MutableShard::Publish(
-    std::shared_ptr<const DynamicHnsw> index,
-    std::shared_ptr<const std::vector<uint32_t>> local_to_global,
-    bool degraded) {
+void MutableShard::Publish(bool degraded) {
   auto next = std::make_shared<Snapshot>();
-  next->index = std::move(index);
-  next->local_to_global = std::move(local_to_global);
+  // Shares every page with the working index, whose next write therefore
+  // copies each page before changing it: published pages never change.
+  next->index = std::make_shared<const DynamicHnsw>(writer_);
   next->version = ++version_;  // single writer: plain counter is enough
-  next->degraded = degraded;
+  next->degraded = degraded_ = degraded;
   std::atomic_store_explicit(&published_,
                              std::shared_ptr<const Snapshot>(std::move(next)),
                              std::memory_order_release);
@@ -37,34 +34,21 @@ void MutableShard::Publish(
 void MutableShard::Add(uint32_t global_id, const float* vector) {
   WEAVESS_CHECK(global_to_local_.count(global_id) == 0 &&
                 "global id already lives in this shard");
-  // Readers atomic_load published_, so the writer must too (mixed atomic
-  // and plain access to one shared_ptr is a race).
-  const std::shared_ptr<const Snapshot> pinned = Pin();
-  const Snapshot& current = *pinned;
-  // Clone-on-write: readers keep searching `current.index` untouched while
-  // the clone absorbs the insertion. The copy carries the RNG state, so the
-  // published sequence of structures is identical to a sequential build
-  // over the same mutation order — the WAL-replay determinism contract.
-  auto next_index = std::make_shared<DynamicHnsw>(*current.index);
-  const uint32_t local = next_index->Add(vector);
-  auto next_map =
-      std::make_shared<std::vector<uint32_t>>(*current.local_to_global);
-  WEAVESS_CHECK(local == next_map->size());
-  next_map->push_back(global_id);
-  global_to_local_[global_id] = local;
-  Publish(std::move(next_index), std::move(next_map),
-          current.degraded);
+  // Readers search published copies, never the working index. Each copy
+  // carries the RNG state, so the published sequence of structures is
+  // identical to a sequential build over the same mutation order — the
+  // WAL-replay determinism contract. The label keeps the global id with
+  // the vector through compaction.
+  global_to_local_[global_id] = writer_.Add(vector, global_id);
+  Publish(degraded_);
 }
 
 bool MutableShard::Remove(uint32_t global_id) {
   const auto it = global_to_local_.find(global_id);
   if (it == global_to_local_.end()) return false;
-  const std::shared_ptr<const Snapshot> pinned = Pin();
-  const Snapshot& current = *pinned;
-  auto next_index = std::make_shared<DynamicHnsw>(*current.index);
-  next_index->Remove(it->second);
+  writer_.Remove(it->second);
   global_to_local_.erase(it);
-  Publish(std::move(next_index), current.local_to_global, current.degraded);
+  Publish(degraded_);
   return true;
 }
 
@@ -73,32 +57,24 @@ bool MutableShard::Contains(uint32_t global_id) const {
 }
 
 Status MutableShard::Compact() {
-  const std::shared_ptr<const Snapshot> pinned = Pin();
-  const Snapshot& current = *pinned;
   if (fault_armed_) {
     // Simulated rebuild failure: the old structure still serves, but its
     // quality is no longer trusted — degrade to exact scan until a clean
     // compaction replaces it.
     fault_armed_ = false;
-    Publish(current.index, current.local_to_global, /*degraded=*/true);
+    Publish(/*degraded=*/true);
     return Status::Unavailable(
         "compaction failed (injected fault); shard degraded to exact scan");
   }
-  auto next_index = std::make_shared<DynamicHnsw>(*current.index);
-  // new local id -> old local id; translate the global map through it so a
-  // global id resolves to the same vector before and after the swap.
-  const std::vector<uint32_t> remap = next_index->Compact();
-  auto next_map = std::make_shared<std::vector<uint32_t>>();
-  next_map->reserve(remap.size());
-  for (uint32_t new_local = 0; new_local < remap.size(); ++new_local) {
-    next_map->push_back((*current.local_to_global)[remap[new_local]]);
-  }
+  // The rebuild renumbers local ids; labels carry the global ids across,
+  // so a global id resolves to the same vector before and after the swap.
+  writer_.Compact();
   global_to_local_.clear();
-  global_to_local_.reserve(next_map->size());
-  for (uint32_t local = 0; local < next_map->size(); ++local) {
-    global_to_local_[(*next_map)[local]] = local;
+  global_to_local_.reserve(writer_.size());
+  for (uint32_t local = 0; local < writer_.size(); ++local) {
+    global_to_local_[writer_.Label(local)] = local;
   }
-  Publish(std::move(next_index), std::move(next_map), /*degraded=*/false);
+  Publish(/*degraded=*/false);
   return Status::OK();
 }
 
@@ -108,7 +84,6 @@ std::vector<ScoredId> SearchSnapshot(const MutableShard::Snapshot& snapshot,
                                      const SearchParams& params,
                                      QueryStats* stats) {
   const DynamicHnsw& index = *snapshot.index;
-  const std::vector<uint32_t>& to_global = *snapshot.local_to_global;
   if (stats != nullptr) {
     stats->distance_evals = 0;
     stats->hops = 0;
@@ -137,7 +112,7 @@ std::vector<ScoredId> SearchSnapshot(const MutableShard::Snapshot& snapshot,
       stats->truncated = truncated;
     }
     for (const ScoredId& entry : best.TakeSorted()) {
-      list.emplace_back(entry.distance, to_global[entry.id]);
+      list.emplace_back(entry.distance, index.Label(entry.id));
     }
     return list;
   }
@@ -156,7 +131,7 @@ std::vector<ScoredId> SearchSnapshot(const MutableShard::Snapshot& snapshot,
     // so re-check before a candidate can cross into it.
     if (index.IsDeleted(local)) continue;
     list.emplace_back(L2Sqr(query, index.Vector(local), index.dim()),
-                      to_global[local]);
+                      index.Label(local));
   }
   // Global ids are assigned in insertion order per shard, but compaction
   // remaps locals, so (unlike the static shards) local order does not imply

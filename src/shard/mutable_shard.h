@@ -1,12 +1,14 @@
 // One shard of the mutable serving path (docs/MUTATION.md): a DynamicHnsw
 // published to readers through epoch snapshots. Writers never modify the
-// structure readers are searching — every mutation clones the published
-// index, applies the change to the clone, and publishes the new snapshot
-// with one atomic pointer store. A query pins a snapshot with one atomic
-// load and keeps it alive via shared_ptr for as long as the search runs,
-// so readers are wait-free with respect to writers and a pinned snapshot
-// keeps resolving pre-compaction ids even while Compact() swaps the shard
-// underneath it.
+// structure readers are searching: the shard's writer mutates its own
+// working index and, after each write, publishes a copy of it with one
+// atomic pointer store. The copy shares every unchanged page with the
+// working index and with earlier snapshots (dynamic_hnsw.h), so a write
+// copies only the pages it touches plus the page tables, never the whole
+// shard. A query pins a snapshot with one atomic load and keeps it alive
+// via shared_ptr for as long as the search runs, so readers are wait-free
+// with respect to writers and a pinned snapshot keeps resolving
+// pre-compaction ids even while Compact() swaps the shard underneath it.
 //
 // Concurrency contract: Pin() and the snapshot accessors are safe from any
 // thread at any time. The mutators (Add/Remove/Compact/InjectCompactionFault)
@@ -31,12 +33,10 @@ class MutableShard {
   /// An immutable generation of the shard. Readers hold one by shared_ptr;
   /// nothing in it changes after publication.
   struct Snapshot {
-    /// The searchable structure (never null; may be empty).
+    /// The searchable structure (never null; may be empty). Vertex labels
+    /// are global ids: index->Label(l) is the global id of local vertex l
+    /// in *this* snapshot, across compaction remaps.
     std::shared_ptr<const DynamicHnsw> index;
-    /// Local id -> global id, one entry per index vertex. Survives
-    /// compaction remaps: entry `l` is always the global id of vertex `l`
-    /// in *this* snapshot's index.
-    std::shared_ptr<const std::vector<uint32_t>> local_to_global;
     /// Monotonic per-shard publication count (0 = the empty initial state).
     uint64_t version = 0;
     /// True after a failed compaction: the structure is intact but its
@@ -79,18 +79,22 @@ class MutableShard {
 
   // ------------------------------------------------------ observation
 
-  uint32_t dim() const { return dim_; }
+  uint32_t dim() const { return writer_.dim(); }
   uint64_t version() const { return Pin()->version; }
   bool degraded() const { return Pin()->degraded; }
   uint32_t live_size() const { return Pin()->index->live_size(); }
+  /// Writer-side: bytes copied so far to publish this shard's writes
+  /// (DynamicHnsw::copied_bytes of the working index).
+  uint64_t copied_bytes() const { return writer_.copied_bytes(); }
 
  private:
-  void Publish(std::shared_ptr<const DynamicHnsw> index,
-               std::shared_ptr<const std::vector<uint32_t>> local_to_global,
-               bool degraded);
+  /// Publishes a page-sharing copy of the working index.
+  void Publish(bool degraded);
 
-  const uint32_t dim_;
-  const DynamicHnsw::Params params_;
+  /// The writer's working index. Each Publish shares its pages with the
+  /// new snapshot, so its next write copies what it touches; it also owns
+  /// the construction scratch, which thereby outlives every snapshot.
+  DynamicHnsw writer_;
   /// Read via std::atomic_load, replaced via std::atomic_store: the epoch
   /// publication point.
   std::shared_ptr<const Snapshot> published_;
@@ -99,6 +103,8 @@ class MutableShard {
   std::unordered_map<uint32_t, uint32_t> global_to_local_;
   /// Writer-only publication counter behind Snapshot::version.
   uint64_t version_ = 0;
+  /// Writer-only copy of the published snapshot's degraded flag.
+  bool degraded_ = false;
   bool fault_armed_ = false;
 };
 

@@ -170,6 +170,31 @@ TEST_F(DynamicHnswTest, StatsReported) {
             300u * workload_.base.dim() * sizeof(float));
 }
 
+// A copy shares every page with its source; each side copies a page before
+// its first write to it, and only then.
+TEST_F(DynamicHnswTest, CopiesSharePagesUntilFirstWrite) {
+  DynamicHnsw index = MakeBuilt(1200);
+  EXPECT_EQ(index.copied_bytes(), 0u);  // built in place, never shared
+  DynamicHnsw copy(index);
+  const uint64_t tables = index.copied_bytes();
+  EXPECT_GT(tables, 0u);
+  EXPECT_EQ(copy.copied_bytes(), tables);
+
+  copy.Remove(3);
+  const uint64_t one_page = copy.copied_bytes() - tables;
+  EXPECT_GT(one_page, 0u);
+  copy.Remove(4);  // same page, now the copy's own: nothing to copy
+  EXPECT_EQ(copy.copied_bytes() - tables, one_page);
+  index.Remove(5);  // still shared from the source's side
+  EXPECT_EQ(index.copied_bytes() - tables, one_page);
+
+  EXPECT_TRUE(copy.IsDeleted(3));
+  EXPECT_FALSE(index.IsDeleted(3));
+  EXPECT_TRUE(index.IsDeleted(5));
+  EXPECT_FALSE(copy.IsDeleted(5));
+  EXPECT_EQ(index.Label(1100), 1100u);
+}
+
 // ------------------------------------------------------------------ pins
 //
 // DynamicHnswPinTest pins the exact structures, construction spend and

@@ -8,10 +8,13 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -276,9 +279,8 @@ TEST(MutableShardTest, PinnedSnapshotIsImmuneToLaterMutation) {
   ASSERT_TRUE(shard.Remove(10));
   EXPECT_EQ(pinned->index->size(), 4u);
   EXPECT_EQ(pinned->index->live_size(), 4u);
-  EXPECT_EQ(pinned->local_to_global->size(), 4u);
   for (uint32_t local = 0; local < 4; ++local) {
-    EXPECT_EQ((*pinned->local_to_global)[local], local * 10);
+    EXPECT_EQ(pinned->index->Label(local), local * 10);
     const float* row = pinned->index->Vector(local);
     EXPECT_EQ(std::vector<float>(row, row + dim), vectors[local]);
   }
@@ -358,7 +360,7 @@ TEST(MutableShardTest, CompactRemapsIdsWhilePinnedReaderKeepsOldView) {
   // local ids.
   EXPECT_EQ(before->index->size(), 12u);
   for (uint32_t local = 0; local < 12; ++local) {
-    EXPECT_EQ((*before->local_to_global)[local], local);
+    EXPECT_EQ(before->index->Label(local), local);
     const float* row = before->index->Vector(local);
     EXPECT_EQ(std::vector<float>(row, row + dim), vectors[local]);
   }
@@ -373,13 +375,12 @@ TEST(MutableShardTest, CompactRemapsIdsWhilePinnedReaderKeepsOldView) {
   }
 
   // The compacted snapshot holds exactly the 6 survivors, densely
-  // renumbered; local_to_global round-trips each vector bit-for-bit.
+  // renumbered; each label round-trips its vector bit-for-bit.
   ASSERT_EQ(after->index->size(), 6u);
   EXPECT_EQ(after->index->live_size(), 6u);
-  ASSERT_EQ(after->local_to_global->size(), 6u);
   std::vector<uint32_t> survivors;
   for (uint32_t local = 0; local < 6; ++local) {
-    const uint32_t global = (*after->local_to_global)[local];
+    const uint32_t global = after->index->Label(local);
     survivors.push_back(global);
     const float* row = after->index->Vector(local);
     EXPECT_EQ(std::vector<float>(row, row + dim), vectors[global])
@@ -431,6 +432,132 @@ TEST(MutableShardTest, FailedCompactionDegradesToExactScanThenRecovers) {
 }
 
 // ------------------------------------------------ MutableShardedIndex
+
+// Layout-independent digest of one snapshot: per vertex its label, level,
+// neighbour lists per level in order, tombstone bit and row bytes; plus
+// the entry point, max level and version.
+uint64_t HashSnapshot(const MutableShard::Snapshot& snapshot) {
+  const DynamicHnsw& index = *snapshot.index;
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash = (hash ^ bytes[i]) * 0x100000001b3ULL;
+    }
+  };
+  const auto mix_u64 = [&mix](uint64_t value) { mix(&value, sizeof(value)); };
+  mix_u64(snapshot.version);
+  mix_u64(index.size());
+  mix_u64(index.entry_point());
+  mix_u64(index.max_level());
+  for (uint32_t local = 0; local < index.size(); ++local) {
+    mix_u64(index.Label(local));
+    mix_u64(index.Level(local));
+    for (uint32_t level = 0; level <= index.Level(local); ++level) {
+      const auto neighbors = index.Neighbors(local, level);
+      mix_u64(neighbors.size());
+      mix(neighbors.data(), neighbors.size_bytes());
+    }
+    mix_u64(index.IsDeleted(local) ? 1 : 0);
+    mix(index.Vector(local), index.dim() * sizeof(float));
+  }
+  return hash;
+}
+
+// Fills a shard with 600 rows (about ten storage pages), pins it, then
+// drives 1,000 adds and removes whose inserts rewire the pinned
+// vertices' adjacency, and finally compacts. Returns how many pinned
+// vertices had a different level-0 list just before the compaction.
+uint32_t ChurnAndCompact(MutableShard& shard, uint32_t dim,
+                         const MutableShard::Snapshot& pinned) {
+  std::mt19937 rng(5);
+  std::vector<uint32_t> live(pinned.index->size());
+  for (uint32_t id = 0; id < live.size(); ++id) live[id] = id;
+  uint32_t next_id = pinned.index->size();
+  for (uint32_t step = 0; step < 1000; ++step) {
+    if (step % 3 == 2) {
+      const size_t victim = rng() % live.size();
+      EXPECT_TRUE(shard.Remove(live[victim]));
+      live[victim] = live.back();
+      live.pop_back();
+    } else {
+      shard.Add(next_id, TestVector(dim, next_id).data());
+      live.push_back(next_id++);
+    }
+  }
+  const auto before_compaction = shard.Pin();
+  uint32_t rewired = 0;
+  for (uint32_t local = 0; local < pinned.index->size(); ++local) {
+    const auto was = pinned.index->Neighbors(local, 0);
+    const auto now = before_compaction->index->Neighbors(local, 0);
+    if (!std::equal(was.begin(), was.end(), now.begin(), now.end())) {
+      ++rewired;
+    }
+  }
+  EXPECT_TRUE(shard.Compact().ok());
+  return rewired;
+}
+
+// Snapshots share unchanged storage pages with the writer's working index;
+// a write copies a page before its first change to it. A pinned snapshot
+// must read exactly as it did when pinned, even after the pages it shares
+// have all been rewritten (copied) and the shard compacted.
+TEST(MutableShardTest, PinnedSnapshotSurvivesRewiringWritesAndCompaction) {
+  const uint32_t dim = 8;
+  MutableShard shard(dim, SmallShardParams());
+  for (uint32_t id = 0; id < 600; ++id) {
+    shard.Add(id, TestVector(dim, id).data());
+  }
+  const auto pinned = shard.Pin();
+  const uint64_t digest = HashSnapshot(*pinned);
+  const uint32_t rewired = ChurnAndCompact(shard, dim, *pinned);
+  EXPECT_GT(rewired, 300u) << "the writes did not rewire the pinned pages";
+  EXPECT_EQ(HashSnapshot(*pinned), digest);
+  EXPECT_EQ(shard.Pin()->index->live_size(), 600u + 667u - 333u);
+}
+
+// The same churn with two reader threads pinning, walking and searching
+// the current snapshot throughout, so ThreadSanitizer sees every page the
+// writer creates handed over through publication.
+TEST(MutableShardTest, ConcurrentReadersSeeUnchangingSnapshotsDuringChurn) {
+  const uint32_t dim = 8;
+  MutableShard shard(dim, SmallShardParams());
+  for (uint32_t id = 0; id < 600; ++id) {
+    shard.Add(id, TestVector(dim, id).data());
+  }
+  const auto pinned = shard.Pin();
+  const uint64_t digest = HashSnapshot(*pinned);
+  std::atomic<bool> done{false};
+  std::atomic<uint32_t> mismatches{0};
+  std::atomic<uint32_t> walks{0};
+  std::vector<std::thread> readers;
+  for (uint32_t r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      const std::vector<float> query = TestVector(dim, 9000 + r);
+      SearchParams params;
+      params.k = 10;
+      params.pool_size = 40;
+      do {
+        const auto snapshot = shard.Pin();
+        const uint64_t first = HashSnapshot(*snapshot);
+        SearchScratch scratch(std::max<uint32_t>(snapshot->index->size(), 1));
+        for (const ScoredId& hit :
+             SearchSnapshot(*snapshot, scratch, query.data(), params)) {
+          if (hit.id >= 600 + 1000) mismatches.fetch_add(1);
+        }
+        if (HashSnapshot(*snapshot) != first) mismatches.fetch_add(1);
+        if (HashSnapshot(*pinned) != digest) mismatches.fetch_add(1);
+        walks.fetch_add(1);
+      } while (!done.load());
+    });
+  }
+  EXPECT_GT(ChurnAndCompact(shard, dim, *pinned), 300u);
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GE(walks.load(), 2u);
+  EXPECT_EQ(HashSnapshot(*pinned), digest);
+}
 
 MutableIndexOptions SmallIndexOptions(uint32_t dim = 8,
                                       uint32_t num_shards = 3) {
@@ -802,6 +929,49 @@ TEST(MutationIndexTest, MetricsCountMutationsExactly) {
   EXPECT_EQ(metrics.CounterValue("mutation.compaction_failures"), 1u);
   // One WAL record per add/remove/commit/successful compaction.
   EXPECT_EQ(metrics.CounterValue("mutation.wal_records"), 8u + 2u + 1u + 2u);
+}
+
+// mutation.copied_bytes counts the bytes each write copies to publish its
+// snapshot: the pages it touches plus the page tables. That volume must
+// not grow with the shard the way a whole-shard copy does.
+TEST(MutationIndexTest, CopiedBytesPerAddStayFlatAsTheShardGrows) {
+  const uint32_t dim = 16;
+  MutableIndexOptions options = SmallIndexOptions(dim, /*num_shards=*/1);
+  options.m = 8;
+  options.ef_construction = 40;
+  const std::string dir = FreshDir("mut_copied_bytes");
+  StatusOr<std::unique_ptr<MutableShardedIndex>> opened =
+      MutableShardedIndex::Open(dir, options);
+  ASSERT_TRUE(opened.ok());
+  MutableShardedIndex& index = **opened;
+  MetricsRegistry metrics;
+  index.set_metrics(&metrics);
+
+  uint32_t next = 0;
+  const auto add_until = [&](uint32_t rows) {
+    for (; next < rows; ++next) {
+      ASSERT_TRUE(index.Add(TestVector(dim, next).data()).ok());
+    }
+  };
+  const auto per_add_from = [&](uint32_t rows) {
+    add_until(rows);
+    const uint64_t mark = metrics.CounterValue("mutation.copied_bytes");
+    add_until(rows + 200);
+    return (metrics.CounterValue("mutation.copied_bytes") - mark) / 200.0;
+  };
+  const double at_1000 = per_add_from(1000);
+  const double at_4000 = per_add_from(4000);
+  EXPECT_GT(at_1000, 0.0);
+  EXPECT_LE(at_4000, 1.5 * at_1000)
+      << "per-add copy volume " << at_1000 << " B at 1,000 rows, " << at_4000
+      << " B at 4,000 rows";
+  // A whole-shard copy would move at least every row: 4,000 * 16 floats.
+  EXPECT_LT(at_4000, 4000.0 * dim * sizeof(float) / 3);
+
+  // A remove copies one page (plus the tables) and is counted too.
+  const uint64_t mark = metrics.CounterValue("mutation.copied_bytes");
+  ASSERT_TRUE(index.Remove(7).ok());
+  EXPECT_GT(metrics.CounterValue("mutation.copied_bytes"), mark);
 }
 
 }  // namespace

@@ -258,7 +258,8 @@ int CmdMetrics() {
       "                   + deadline_exceeded + failed\n"
       "  mutation.adds / mutation.removes / mutation.commits /\n"
       "  mutation.compactions / mutation.compaction_failures /\n"
-      "  mutation.wal_records            write-path counters\n"
+      "  mutation.wal_records /\n"
+      "  mutation.copied_bytes           write-path counters\n"
       "  mutation.latency_us             histogram, applied mutations\n"
       "  mutation.generation / mutation.live_size /\n"
       "  mutation.degraded_shards        gauges (snapshot-time)\n"
