@@ -55,10 +55,6 @@ class DynamicHnsw {
     uint64_t seed = 2024;
   };
 
-  /// Vertices per storage page.
-  static constexpr uint32_t kPageBits = 6;
-  static constexpr uint32_t kPageSize = 1u << kPageBits;
-
   /// An empty index over `dim`-dimensional vectors.
   DynamicHnsw(uint32_t dim, const Params& params);
 
@@ -139,6 +135,10 @@ class DynamicHnsw {
   size_t IndexMemoryBytes() const;
 
  private:
+  // Vertices per storage page: the unit a write copies.
+  static constexpr uint32_t kPageBits = 6;
+  static constexpr uint32_t kPageSize = 1u << kPageBits;
+
   // Graph state of kPageSize consecutive vertices. Every list is
   // count-prefixed in fixed slots: level 0 has 2m slots per vertex in
   // `base`; a vertex above level 0 owns `level` blocks of m slots in

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <random>
 #include <string>
