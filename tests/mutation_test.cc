@@ -430,8 +430,6 @@ TEST(MutableShardTest, FailedCompactionDegradesToExactScanThenRecovers) {
   EXPECT_FALSE(shard.degraded());
 }
 
-// ------------------------------------------------ MutableShardedIndex
-
 // Layout-independent digest of one snapshot: per vertex its label, level,
 // neighbour lists per level in order, tombstone bit and row bytes; plus
 // the entry point, max level and version.
@@ -557,6 +555,8 @@ TEST(MutableShardTest, ConcurrentReadersSeeUnchangingSnapshotsDuringChurn) {
   EXPECT_GE(walks.load(), 2u);
   EXPECT_EQ(HashSnapshot(*pinned), digest);
 }
+
+// ------------------------------------------------ MutableShardedIndex
 
 MutableIndexOptions SmallIndexOptions(uint32_t dim = 8,
                                       uint32_t num_shards = 3) {
