@@ -5,6 +5,7 @@
 #define WEAVESS_ALGORITHMS_HNSW_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "algorithms/registry.h"
@@ -49,6 +50,13 @@ class HnswIndex : public AnnIndex {
 
   uint32_t max_level() const { return max_level_; }
   uint32_t entry_point() const { return entry_point_; }
+  uint32_t size() const { return static_cast<uint32_t>(links_.size()); }
+  /// Top level of v (it has adjacency at levels 0..Level(v)).
+  uint32_t Level(uint32_t v) const { return LevelOf(v); }
+  /// Adjacency of v at `level` (<= Level(v)), in insertion order.
+  std::span<const uint32_t> Neighbors(uint32_t v, uint32_t level) const {
+    return links_[v][level];
+  }
   /// Level assigned to vertex v (tests validate the geometric decay).
   uint32_t LevelOf(uint32_t v) const {
     return static_cast<uint32_t>(links_[v].size()) - 1;

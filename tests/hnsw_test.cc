@@ -1,5 +1,6 @@
-// Tests for the dynamic-update extension (insert / logical delete /
-// compact) — the paper's §6 real-time-update challenge.
+// Tests for HNSW: the batched static build, and the dynamic-update
+// extension (insert / logical delete / compact) — the paper's §6
+// real-time-update challenge.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "algorithms/dynamic_hnsw.h"
+#include "algorithms/hnsw.h"
 #include "core/distance.h"
 #include "eval/ground_truth.h"
 #include "eval/synthetic.h"
@@ -444,6 +446,94 @@ TEST(DynamicHnswPinTest, CompactToEmptyThenRegrow) {
             {27, 26, 2475, 2425831933274327265ULL, 1345820407447755370ULL,
              1998, 1103},
             "regrown");
+}
+
+// HnswPinTest pins the static batched build the same way: the hierarchy
+// (per vertex: level and neighbour lists per level in order; plus entry
+// point and max level), build_stats().distance_evals, and ids/NDC/hops of
+// 50 queries, at 1 and 4 build threads. Recorded from the per-vertex-vector
+// store; a moved pin means the construction or the query walk changed.
+
+struct StaticPin {
+  uint64_t build_evals;
+  uint64_t structure;
+  uint64_t query_ids;
+  uint64_t ndc;
+  uint64_t hops;
+};
+
+uint64_t HashHierarchy(const HnswIndex& index) {
+  Fnv h;
+  h.Add(index.entry_point());
+  h.Add(index.max_level());
+  for (uint32_t id = 0; id < index.size(); ++id) {
+    h.Add(index.Level(id));
+    for (uint32_t level = 0; level <= index.Level(id); ++level) {
+      const auto& neighbors = index.Neighbors(id, level);
+      h.Add(neighbors.size());
+      for (uint32_t neighbor : neighbors) h.Add(neighbor);
+    }
+  }
+  return h.value();
+}
+
+void ExpectStaticPin(const PinScenario& scenario, uint32_t threads,
+                     const StaticPin& expected) {
+  SCOPED_TRACE(threads);
+  const Dataset data(scenario.num_rows(), scenario.dim, scenario.rows);
+  HnswIndex::Params params;
+  params.m = scenario.params.m;
+  params.ef_construction = scenario.params.ef_construction;
+  params.seed = scenario.params.seed;
+  params.build_threads = threads;
+  HnswIndex index(params);
+  index.Build(data);
+  StaticPin pin{index.build_stats().distance_evals, HashHierarchy(index), 0,
+                0, 0};
+  SearchScratch scratch(index.size());
+  SearchParams search;
+  search.k = 10;
+  search.pool_size = scenario.pool_size;
+  Fnv ids;
+  for (size_t q = 0; q < scenario.queries.size() / scenario.dim; ++q) {
+    QueryStats stats;
+    const std::vector<uint32_t> result = index.SearchWith(
+        scratch, scenario.queries.data() + q * scenario.dim, search, &stats);
+    ids.Add(result.size());
+    for (uint32_t id : result) ids.Add(id);
+    pin.ndc += stats.distance_evals;
+    pin.hops += stats.hops;
+  }
+  pin.query_ids = ids.value();
+  EXPECT_EQ(pin.build_evals, expected.build_evals);
+  EXPECT_EQ(pin.structure, expected.structure);
+  EXPECT_EQ(pin.query_ids, expected.query_ids);
+  EXPECT_EQ(pin.ndc, expected.ndc);
+  EXPECT_EQ(pin.hops, expected.hops);
+}
+
+TEST(HnswPinTest, RandomRows) {
+  PinScenario scenario = RandomRows(3000, 16, 505);
+  scenario.params.m = 8;
+  scenario.params.ef_construction = 48;
+  scenario.params.seed = 7;
+  for (uint32_t threads : {1u, 4u}) {
+    ExpectStaticPin(scenario, threads,
+                    {1500667, 15283718287320290375ULL,
+                     16665334168715386989ULL, 18291, 2396});
+  }
+}
+
+TEST(HnswPinTest, DuplicateHeavyRows) {
+  PinScenario scenario = DuplicateRows(2700, 8, 30, 606);
+  scenario.params.m = 5;
+  scenario.params.ef_construction = 32;
+  scenario.params.seed = 9;
+  for (uint32_t threads : {1u, 4u}) {
+    ExpectStaticPin(scenario, threads,
+                    {274555, 10581533140826462053ULL, 1088352821806923273ULL,
+                     3759, 2343});
+  }
 }
 
 }  // namespace
