@@ -1,7 +1,6 @@
 #include "algorithms/registry.h"
 
 #include "algorithms/dpg.h"
-#include "algorithms/dynamic_hnsw.h"
 #include "algorithms/efanna.h"
 #include "algorithms/fanng.h"
 #include "algorithms/hcnng.h"

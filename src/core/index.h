@@ -104,7 +104,7 @@ class AnnIndex {
   /// concurrent engine (search/engine.h) uses SearchWith directly.
   std::vector<uint32_t> Search(const float* query, const SearchParams& params,
                                QueryStats* stats = nullptr) {
-    const uint32_t num_vertices = graph().size();
+    const uint32_t num_vertices = ScratchVertices();
     if (scratch_ == nullptr || scratch_->ctx.visited.size() < num_vertices) {
       scratch_ = std::make_unique<SearchScratch>(num_vertices);
     }
@@ -122,6 +122,15 @@ class AnnIndex {
   virtual BuildStats build_stats() const = 0;
 
   virtual std::string name() const = 0;
+
+ protected:
+  AnnIndex() = default;
+  AnnIndex(AnnIndex&&) = default;
+  AnnIndex& operator=(AnnIndex&&) = default;
+
+  /// Vertices a SearchScratch must cover: graph().size(), unless the index
+  /// grows past its materialized graph (HnswIndex::Add).
+  virtual uint32_t ScratchVertices() const { return graph().size(); }
 
  private:
   // Lazily sized scratch backing the Search convenience wrapper.

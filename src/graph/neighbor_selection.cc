@@ -29,34 +29,6 @@ std::vector<Neighbor> SelectByDistance(const std::vector<Neighbor>& candidates,
   return selected;
 }
 
-std::vector<Neighbor> SelectRng(DistanceOracle& oracle, uint32_t point,
-                                const std::vector<Neighbor>& candidates,
-                                uint32_t max_degree, float alpha) {
-  WEAVESS_CHECK(alpha >= 1.0f);
-  // Squared distances: α·δ(x,y) > δ(p,x)  ⇔  α²·δ²(x,y) > δ²(p,x).
-  const float alpha_sqr = alpha * alpha;
-  std::vector<Neighbor> selected;
-  selected.reserve(max_degree);
-  for (const Neighbor& candidate : candidates) {
-    if (selected.size() >= max_degree) break;
-    if (candidate.id == point) continue;
-    bool occluded = false;
-    for (const Neighbor& kept : selected) {
-      if (kept.id == candidate.id) {
-        occluded = true;
-        break;
-      }
-      const float between = oracle.Between(candidate.id, kept.id);
-      if (alpha_sqr * between <= candidate.distance) {
-        occluded = true;  // kept neighbor y is closer to x than p is
-        break;
-      }
-    }
-    if (!occluded) selected.push_back(candidate);
-  }
-  return selected;
-}
-
 std::vector<Neighbor> SelectByAngle(DistanceOracle& oracle, uint32_t point,
                                     const std::vector<Neighbor>& candidates,
                                     uint32_t max_degree,

@@ -8,8 +8,10 @@
 #define WEAVESS_GRAPH_NEIGHBOR_SELECTION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "core/check.h"
 #include "core/distance.h"
 #include "core/neighbor.h"
 
@@ -25,9 +27,45 @@ std::vector<Neighbor> SelectByDistance(const std::vector<Neighbor>& candidates,
 /// kept y:  α · δ(x, y) > δ(p, x)  (α = 1 is the plain occlusion rule;
 /// α > 1 keeps more, longer edges — Vamana). Distances are squared l2, so
 /// the comparison applies α² internally. `candidates` sorted ascending.
-std::vector<Neighbor> SelectRng(DistanceOracle& oracle, uint32_t point,
-                                const std::vector<Neighbor>& candidates,
-                                uint32_t max_degree, float alpha = 1.0f);
+/// Writes the kept candidates to `selected` (cleared first), so a caller
+/// can reuse one buffer; generic over any oracle with DistanceOracle's
+/// Between (HNSW runs it on its paged rows).
+template <typename OracleT>
+void SelectRng(OracleT& oracle, uint32_t point,
+               std::span<const Neighbor> candidates, uint32_t max_degree,
+               float alpha, std::vector<Neighbor>& selected) {
+  WEAVESS_CHECK(alpha >= 1.0f);
+  // Squared distances: α·δ(x,y) > δ(p,x)  ⇔  α²·δ²(x,y) > δ²(p,x).
+  const float alpha_sqr = alpha * alpha;
+  selected.clear();
+  for (const Neighbor& candidate : candidates) {
+    if (selected.size() >= max_degree) break;
+    if (candidate.id == point) continue;
+    bool occluded = false;
+    for (const Neighbor& kept : selected) {
+      if (kept.id == candidate.id) {
+        occluded = true;
+        break;
+      }
+      const float between = oracle.Between(candidate.id, kept.id);
+      if (alpha_sqr * between <= candidate.distance) {
+        occluded = true;  // kept neighbor y is closer to x than p is
+        break;
+      }
+    }
+    if (!occluded) selected.push_back(candidate);
+  }
+}
+
+inline std::vector<Neighbor> SelectRng(DistanceOracle& oracle, uint32_t point,
+                                       const std::vector<Neighbor>& candidates,
+                                       uint32_t max_degree,
+                                       float alpha = 1.0f) {
+  std::vector<Neighbor> selected;
+  selected.reserve(max_degree);
+  SelectRng(oracle, point, candidates, max_degree, alpha, selected);
+  return selected;
+}
 
 /// NSSG's angular rule: keep x iff the angle ∠(x, p, y) is at least
 /// `min_angle_degrees` for every kept y (paper: θ, optimal near 60°).

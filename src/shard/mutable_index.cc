@@ -31,7 +31,7 @@ MutableShardedIndex::MutableShardedIndex(std::string directory,
       pool_(options_.num_threads > 0 ? options_.num_threads - 1 : 0) {
   shards_.reserve(options_.num_shards);
   for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    DynamicHnsw::Params params;
+    HnswIndex::Params params;
     params.m = std::max(2u, options_.m);
     params.ef_construction = options_.ef_construction;
     params.seed = DeriveShardSeed(options_.seed, s);

@@ -53,7 +53,7 @@ struct MutableIndexOptions {
   uint32_t dim = 0;
   /// Shard fan-out; global id `g` lives in shard `g % num_shards`.
   uint32_t num_shards = 1;
-  /// DynamicHnsw construction knobs; each shard derives its own RNG stream
+  /// HnswIndex construction knobs; each shard derives its own RNG stream
   /// from `seed` via DeriveShardSeed, exactly like the static ShardedIndex.
   uint32_t m = 8;
   uint32_t ef_construction = 60;

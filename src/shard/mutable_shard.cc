@@ -8,10 +8,10 @@
 
 namespace weavess {
 
-MutableShard::MutableShard(uint32_t dim, const DynamicHnsw::Params& params)
+MutableShard::MutableShard(uint32_t dim, const HnswIndex::Params& params)
     : writer_(dim, params) {
   auto initial = std::make_shared<Snapshot>();
-  initial->index = std::make_shared<const DynamicHnsw>(writer_);
+  initial->index = std::make_shared<const HnswIndex>(writer_);
   published_ = std::move(initial);
 }
 
@@ -23,7 +23,7 @@ void MutableShard::Publish(bool degraded) {
   auto next = std::make_shared<Snapshot>();
   // Shares every page with the working index, whose next write therefore
   // copies each page before changing it: published pages never change.
-  next->index = std::make_shared<const DynamicHnsw>(writer_);
+  next->index = std::make_shared<const HnswIndex>(writer_);
   next->version = ++version_;  // single writer: plain counter is enough
   next->degraded = degraded_ = degraded;
   std::atomic_store_explicit(&published_,
@@ -83,7 +83,7 @@ std::vector<ScoredId> SearchSnapshot(const MutableShard::Snapshot& snapshot,
                                      const float* query,
                                      const SearchParams& params,
                                      QueryStats* stats) {
-  const DynamicHnsw& index = *snapshot.index;
+  const HnswIndex& index = *snapshot.index;
   if (stats != nullptr) {
     stats->distance_evals = 0;
     stats->hops = 0;

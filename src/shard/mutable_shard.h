@@ -1,11 +1,11 @@
-// One shard of the mutable serving path (docs/MUTATION.md): a DynamicHnsw
-// published to readers through epoch snapshots. Writers never modify the
-// structure readers are searching: the shard's writer mutates its own
-// working index and, after each write, publishes a copy of it with one
-// atomic pointer store. The copy shares every unchanged page with the
-// working index and with earlier snapshots (dynamic_hnsw.h), so a write
-// copies only the pages it touches plus the page tables, never the whole
-// shard. A query pins a snapshot with one atomic load and keeps it alive
+// One shard of the mutable serving path (docs/MUTATION.md): an HnswIndex
+// grown by Add and published to readers through epoch snapshots. Writers
+// never modify the structure readers are searching: the shard's writer
+// mutates its own working index and, after each write, publishes a copy
+// of it with one atomic pointer store. The copy shares every unchanged
+// page with the working index and with earlier snapshots
+// (algorithms/hnsw.h), so a write copies only the pages it touches plus
+// the page tables, never the whole shard. A query pins a snapshot with one atomic load and keeps it alive
 // via shared_ptr for as long as the search runs, so readers are wait-free
 // with respect to writers and a pinned snapshot keeps resolving
 // pre-compaction ids even while Compact() swaps the shard underneath it.
@@ -22,7 +22,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "algorithms/dynamic_hnsw.h"
+#include "algorithms/hnsw.h"
 #include "core/status.h"
 #include "core/topk_merge.h"
 
@@ -36,7 +36,7 @@ class MutableShard {
     /// The searchable structure (never null; may be empty). Vertex labels
     /// are global ids: index->Label(l) is the global id of local vertex l
     /// in *this* snapshot, across compaction remaps.
-    std::shared_ptr<const DynamicHnsw> index;
+    std::shared_ptr<const HnswIndex> index;
     /// Monotonic per-shard publication count (0 = the empty initial state).
     uint64_t version = 0;
     /// True after a failed compaction: the structure is intact but its
@@ -45,7 +45,7 @@ class MutableShard {
     bool degraded = false;
   };
 
-  MutableShard(uint32_t dim, const DynamicHnsw::Params& params);
+  MutableShard(uint32_t dim, const HnswIndex::Params& params);
 
   /// Pins the current snapshot: one atomic load, never blocks, and the
   /// returned snapshot stays valid (and unchanged) for as long as the
@@ -84,7 +84,7 @@ class MutableShard {
   bool degraded() const { return Pin()->degraded; }
   uint32_t live_size() const { return Pin()->index->live_size(); }
   /// Writer-side: bytes copied so far to publish this shard's writes
-  /// (DynamicHnsw::copied_bytes of the working index).
+  /// (HnswIndex::copied_bytes of the working index).
   uint64_t copied_bytes() const { return writer_.copied_bytes(); }
 
  private:
@@ -94,7 +94,7 @@ class MutableShard {
   /// The writer's working index. Each Publish shares its pages with the
   /// new snapshot, so its next write copies what it touches; it also owns
   /// the construction scratch, which thereby outlives every snapshot.
-  DynamicHnsw writer_;
+  HnswIndex writer_;
   /// Read via std::atomic_load, replaced via std::atomic_store: the epoch
   /// publication point.
   std::shared_ptr<const Snapshot> published_;

@@ -157,7 +157,7 @@ TEST(HnswTest, LevelDistributionDecaysGeometrically) {
   index.Build(tw.workload.base);
   std::vector<uint32_t> level_counts;
   for (uint32_t v = 0; v < tw.workload.base.size(); ++v) {
-    const uint32_t level = index.LevelOf(v);
+    const uint32_t level = index.Level(v);
     if (level >= level_counts.size()) level_counts.resize(level + 1, 0);
     ++level_counts[level];
   }
@@ -166,7 +166,7 @@ TEST(HnswTest, LevelDistributionDecaysGeometrically) {
   EXPECT_GT(level_counts[0], tw.workload.base.size() / 2);
   EXPECT_LT(level_counts[1], level_counts[0]);
   // Entry point lives on the top level.
-  EXPECT_EQ(index.LevelOf(index.entry_point()), index.max_level());
+  EXPECT_EQ(index.Level(index.entry_point()), index.max_level());
 }
 
 TEST(HnswTest, BottomLayerDegreeBounded) {
@@ -192,14 +192,14 @@ TEST(HnswTest, DescentLayersAreNavigable) {
   HnswIndex index(params);
   index.Build(tw.workload.base);
   ASSERT_GE(index.max_level(), 1u);  // a hierarchy actually formed
-  EXPECT_EQ(index.LevelOf(index.entry_point()), index.max_level());
+  EXPECT_EQ(index.Level(index.entry_point()), index.max_level());
   for (uint32_t v = 0; v < tw.workload.base.size(); ++v) {
-    for (uint32_t l = 0; l <= index.LevelOf(v); ++l) {
-      const auto& links = index.LinksOf(v, l);
+    for (uint32_t l = 0; l <= index.Level(v); ++l) {
+      const auto& links = index.Neighbors(v, l);
       EXPECT_LE(links.size(), l == 0 ? 2 * params.m : params.m);
       for (uint32_t nb : links) {
         EXPECT_NE(nb, v);
-        ASSERT_GE(index.LevelOf(nb), l)
+        ASSERT_GE(index.Level(nb), l)
             << "vertex " << v << " links to " << nb << " at layer " << l;
       }
     }

@@ -252,8 +252,8 @@ TEST(MutationLogTest, GenerationManifestRoundTripsAndValidates) {
 
 // ------------------------------------------------------- MutableShard
 
-DynamicHnsw::Params SmallShardParams() {
-  DynamicHnsw::Params params;
+HnswIndex::Params SmallShardParams() {
+  HnswIndex::Params params;
   params.m = 4;
   params.ef_construction = 32;
   params.seed = 7;
@@ -434,7 +434,7 @@ TEST(MutableShardTest, FailedCompactionDegradesToExactScanThenRecovers) {
 // neighbour lists per level in order, tombstone bit and row bytes; plus
 // the entry point, max level and version.
 uint64_t HashSnapshot(const MutableShard::Snapshot& snapshot) {
-  const DynamicHnsw& index = *snapshot.index;
+  const HnswIndex& index = *snapshot.index;
   uint64_t hash = 0xcbf29ce484222325ULL;
   const auto mix = [&hash](const void* data, size_t size) {
     const auto* bytes = static_cast<const unsigned char*>(data);
