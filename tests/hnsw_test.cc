@@ -447,11 +447,11 @@ TEST(DynamicHnswPinTest, RandomRows) {
   scenario.params.seed = 7;
   RunPinScenario(scenario, 3000, 4,
                  {2699, 2347, 2160576, 17132265241297694461ULL,
-                  16265111265311753115ULL, 25549, 3223},
+                  16265111265311753115ULL, 25549, 3364},
                  {2605, 2564, 3663334, 8291743264926401499ULL,
-                  11798201346746846471ULL, 25541, 3232},
+                  11798201346746846471ULL, 25541, 3390},
                  {2719, 2325, 2174469, 8399253257222539274ULL,
-                  1864223178690237685ULL, 25571, 3222});
+                  1864223178690237685ULL, 25571, 3363});
 }
 
 TEST(DynamicHnswPinTest, DuplicateHeavyRows) {
@@ -461,11 +461,11 @@ TEST(DynamicHnswPinTest, DuplicateHeavyRows) {
   scenario.params.seed = 9;
   RunPinScenario(scenario, 2400, 3,
                  {2095, 1725, 371864, 18445407316666555407ULL,
-                  5551441567055039742ULL, 4950, 3761},
+                  5551441567055039742ULL, 4950, 3827},
                  {1988, 1945, 606699, 9596611886328369314ULL,
-                  13020623094533094137ULL, 4947, 3580},
+                  13020623094533094137ULL, 4947, 3663},
                  {2115, 1711, 374321, 17832624195357939462ULL,
-                  10899395302806898964ULL, 4984, 3777});
+                  10899395302806898964ULL, 4984, 3843});
 }
 
 TEST(DynamicHnswPinTest, TinySetBelowOnePage) {
@@ -475,11 +475,11 @@ TEST(DynamicHnswPinTest, TinySetBelowOnePage) {
   scenario.pool_size = 16;
   RunPinScenario(scenario, 40, 3,
                  {34, 28, 1987, 18195057161100427442ULL,
-                  18218183088666133276ULL, 1934, 1202},
+                  18218183088666133276ULL, 1934, 1234},
                  {35, 35, 3971, 4502966199711436254ULL,
-                  3750322780069344731ULL, 1889, 900},
+                  3750322780069344731ULL, 1889, 951},
                  {42, 15, 2833, 16938298553047388370ULL,
-                  9340143935122873597ULL, 2334, 1304});
+                  9340143935122873597ULL, 2334, 1337});
 }
 
 TEST(DynamicHnswPinTest, CompactToEmptyThenRegrow) {
@@ -495,7 +495,7 @@ TEST(DynamicHnswPinTest, CompactToEmptyThenRegrow) {
   RunScript(index, scenario, 30, 60, 6, 5, 45);
   ExpectPin(Capture(index, scenario),
             {27, 26, 2475, 2425831933274327265ULL, 1345820407447755370ULL,
-             1998, 1103},
+             1998, 1181},
             "regrown");
 }
 
