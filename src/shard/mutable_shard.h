@@ -5,10 +5,11 @@
 // of it with one atomic pointer store. The copy shares every unchanged
 // page with the working index and with earlier snapshots
 // (algorithms/hnsw.h), so a write copies only the pages it touches plus
-// the page tables, never the whole shard. A query pins a snapshot with one atomic load and keeps it alive
-// via shared_ptr for as long as the search runs, so readers are wait-free
-// with respect to writers and a pinned snapshot keeps resolving
-// pre-compaction ids even while Compact() swaps the shard underneath it.
+// the page tables, never the whole shard. A query pins a snapshot with one
+// atomic load and keeps it alive via shared_ptr for as long as the search
+// runs, so readers are wait-free with respect to writers and a pinned
+// snapshot keeps resolving pre-compaction ids even while Compact() swaps
+// the shard underneath it.
 //
 // Concurrency contract: Pin() and the snapshot accessors are safe from any
 // thread at any time. The mutators (Add/Remove/Compact/InjectCompactionFault)
