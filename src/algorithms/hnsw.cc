@@ -145,12 +145,12 @@ uint32_t HnswIndex::DrawLevel() {
 
 HnswIndex::BuildScratch& HnswIndex::Scratch(uint32_t workers) {
   if (build_ == nullptr || build_->workers.size() < workers ||
-      build_->workers[0].ctx.visited.size() < num_points_) {
+      build_->workers[0].search.ctx.visited.size() < num_points_) {
     // Room for the index to double before the next reallocation.
-    const SearchScratch slot(std::max<uint32_t>(2 * num_points_, 64));
+    const BuildScratch::Worker slot{
+        SearchScratch(std::max<uint32_t>(2 * num_points_, 64)), {}};
     build_ = std::make_unique<BuildScratch>(
-        std::vector<SearchScratch>(workers, slot),
-        WorkerDistanceCounters(workers));
+        std::vector<BuildScratch::Worker>(workers, slot));
   }
   return *build_;
 }
@@ -244,8 +244,8 @@ void HnswIndex::Insert(uint32_t begin, uint32_t end, uint32_t workers) {
   // store here; distance evaluations land in per-worker counters.
   ParallelForWithWorker(begin, end, workers, [&](uint32_t point,
                                                  uint32_t worker) {
-    RowOracle oracle(*this, &scratch.counters.of(worker));
-    SearchScratch& slot = scratch.workers[worker];
+    RowOracle oracle(*this, &scratch.workers[worker].evals);
+    SearchScratch& slot = scratch.workers[worker].search;
     const float* query = Row(point);
     const uint32_t level = Level(point);
     uint32_t entry = frozen_entry;
@@ -265,8 +265,8 @@ void HnswIndex::Insert(uint32_t begin, uint32_t end, uint32_t workers) {
   // Commit phase: strictly in id order, single-threaded — bidirectional
   // linking and neighbor-list shrinking mutate shared state, and id order
   // makes the result independent of the search schedule above.
-  RowOracle oracle(*this, &scratch.counters.of(0));
-  SearchScratch& slot = scratch.workers[0];
+  RowOracle oracle(*this, &scratch.workers[0].evals);
+  SearchScratch& slot = scratch.workers[0].search;
   for (uint32_t point = begin; point < end; ++point) {
     const uint32_t level = Level(point);
     if (level > frozen_max) {
@@ -292,9 +292,9 @@ void HnswIndex::Insert(uint32_t begin, uint32_t end, uint32_t workers) {
   }
   // The evaluated *set* is batch-determined, so the total is exact and
   // thread-invariant whatever order the counters fold in.
-  for (uint32_t w = 0; w < workers; ++w) {
-    build_evals_ += scratch.counters.of(w).count;
-    scratch.counters.of(w).count = 0;
+  for (BuildScratch::Worker& worker : scratch.workers) {
+    build_evals_ += worker.evals.count;
+    worker.evals.count = 0;
   }
 }
 

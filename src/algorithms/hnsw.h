@@ -232,11 +232,15 @@ class HnswIndex : public AnnIndex {
     }
   };
   // Writer-side construction scratch, reused across batches and Adds and
-  // never copied: a search slot and a distance counter per build worker,
-  // the staged selections of a batch, and the commit-side buffers.
+  // never copied: a slot per build worker (cache-line aligned, so workers
+  // never write one line), the staged selections of a batch, and the
+  // commit-side buffers.
   struct BuildScratch {
-    std::vector<SearchScratch> workers;
-    WorkerDistanceCounters counters;
+    struct alignas(64) Worker {
+      SearchScratch search;
+      DistanceCounter evals;
+    };
+    std::vector<Worker> workers;
     // staged[j][l] = the selected neighbours of batch point j at level l.
     std::vector<std::vector<std::vector<Neighbor>>> staged;
     std::vector<Neighbor> selected, scored, kept;
