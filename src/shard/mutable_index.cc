@@ -10,20 +10,6 @@
 
 namespace weavess {
 
-namespace {
-
-/// Even budget split across shards, identical to the static ShardedIndex:
-/// earlier shards absorb the remainder and a nonzero total never rounds a
-/// share down to zero (0 means unlimited).
-uint64_t SplitBudget(uint64_t total, uint32_t shard, uint32_t num_shards) {
-  if (total == 0) return 0;
-  const uint64_t base = total / num_shards;
-  const uint64_t share = base + (shard < total % num_shards ? 1 : 0);
-  return share == 0 ? 1 : share;
-}
-
-}  // namespace
-
 MutableShardedIndex::MutableShardedIndex(std::string directory,
                                          MutableIndexOptions options)
     : directory_(std::move(directory)),

@@ -16,16 +16,6 @@ namespace weavess {
 
 namespace {
 
-/// Even split of a budget across S shards: earlier shards absorb the
-/// remainder, and a nonzero total never rounds a shard's share to zero
-/// (a shard with a budget of 0 would be unlimited, inverting the intent).
-uint64_t SplitBudget(uint64_t total, uint32_t shard, uint32_t num_shards) {
-  if (total == 0) return 0;
-  const uint64_t base = total / num_shards;
-  const uint64_t share = base + (shard < total % num_shards ? 1 : 0);
-  return share == 0 ? 1 : share;
-}
-
 /// Rewraps a shard-file load failure so the Status names the shard and the
 /// file, preserving the original code (kIOError vs kCorruption matters to
 /// callers deciding between retry and repair).
@@ -48,6 +38,13 @@ std::string ShardFileName(const std::string& stem, uint32_t shard) {
 }
 
 }  // namespace
+
+uint64_t SplitBudget(uint64_t total, uint32_t shard, uint32_t num_shards) {
+  if (total == 0) return 0;
+  const uint64_t base = total / num_shards;
+  const uint64_t share = base + (shard < total % num_shards ? 1 : 0);
+  return share == 0 ? 1 : share;
+}
 
 uint64_t DeriveShardSeed(uint64_t base_seed, uint32_t shard) {
   // Explicit little-endian bytes: the derived stream is identical across

@@ -46,6 +46,12 @@ namespace weavess {
 /// across shard counts, thread counts, and build order.
 uint64_t DeriveShardSeed(uint64_t base_seed, uint32_t shard);
 
+/// Even split of a budget across `num_shards` shards, used by both the static
+/// and the mutable tier: earlier shards absorb the remainder, and a nonzero
+/// total never rounds a shard's share to zero (a shard with a budget of 0
+/// would be unlimited, inverting the intent).
+uint64_t SplitBudget(uint64_t total, uint32_t shard, uint32_t num_shards);
+
 /// Shards with fewer rows than this (the library-wide `data.size() >= 2`
 /// graph-construction floor) never get an inner index: they serve exact
 /// scans by design, with an OK status — a policy, not damage. Arises only

@@ -711,6 +711,35 @@ TEST(MutationIndexTest, RemoveErrorsAreInvalidArgument) {
   EXPECT_NE(twice.message().find("already removed"), std::string::npos);
 }
 
+// The evaluation budget is split across shards (SplitBudget), so a tiny
+// budget truncates every shard's walk and the scatter-gather spends a
+// small fraction of an unbudgeted search.
+TEST(MutationIndexTest, DistanceBudgetIsSplitAcrossShards) {
+  const MutableIndexOptions options = SmallIndexOptions(8, 4);
+  const std::string dir = FreshDir("mut_budget");
+  StatusOr<std::unique_ptr<MutableShardedIndex>> opened =
+      MutableShardedIndex::Open(dir, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  MutableShardedIndex& index = **opened;
+  for (uint32_t i = 0; i < 400; ++i) {
+    ASSERT_TRUE(index.Add(TestVector(options.dim, i).data()).ok());
+  }
+
+  const std::vector<float> query = TestVector(options.dim, 900);
+  SearchParams params;
+  params.k = 10;
+  params.pool_size = 64;
+  QueryStats unbudgeted;
+  index.Search(query.data(), params, &unbudgeted);
+  EXPECT_FALSE(unbudgeted.truncated);
+
+  params.max_distance_evals = 4;
+  QueryStats budgeted;
+  index.Search(query.data(), params, &budgeted);
+  EXPECT_TRUE(budgeted.truncated);
+  EXPECT_LT(budgeted.distance_evals, unbudgeted.distance_evals);
+}
+
 TEST(MutationIndexTest, GeometryMismatchIsRejectedBeforeReplay) {
   const MutableIndexOptions options = SmallIndexOptions();
   const std::string dir = FreshDir("mut_geometry");
