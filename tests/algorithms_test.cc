@@ -4,16 +4,19 @@
 // paper's uniform test environment.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "algorithms/hnsw.h"
 #include "algorithms/registry.h"
 #include "core/metrics.h"
+#include "search/loaded_index.h"
 #include "test_util.h"
 
 namespace weavess {
 namespace {
 
+using ::weavess::testing::Fnv;
 using ::weavess::testing::MakeTestWorkload;
 using ::weavess::testing::MeanRecall;
 using ::weavess::testing::TestWorkload;
@@ -99,6 +102,108 @@ TEST_P(AlgorithmFixture, ResultsAreValidIds) {
       EXPECT_TRUE(unique.insert(id).second);
     }
   }
+}
+
+// ---------- Search-trace pins ----------
+//
+// Every query of the shared workload is searched at k = 10, pool 40, once
+// unbounded and once under a distance-eval budget low enough to truncate.
+// Each run folds every query's result ids, distance_evals, hops and
+// truncated flag into one FNV-1a hash. The pins were recorded from the
+// per-index query loops that GraphIndex::SearchWith replaced; a moved pin
+// means a search's results or its work changed, not only its code.
+
+constexpr uint32_t kPinPool = 40;
+constexpr uint64_t kPinBudget = 100;
+
+struct TracePin {
+  uint64_t unbounded;
+  uint64_t budgeted;
+};
+
+// Hashes the search traces of every workload query; `truncated` counts the
+// queries whose budget tripped.
+uint64_t HashSearchTraces(const AnnIndex& index, uint64_t max_distance_evals,
+                          uint32_t* truncated) {
+  const TestWorkload& tw = SharedWorkload();
+  SearchScratch scratch(index.graph().size());
+  SearchParams params;
+  params.k = 10;
+  params.pool_size = kPinPool;
+  params.max_distance_evals = max_distance_evals;
+  Fnv hash;
+  *truncated = 0;
+  for (uint32_t q = 0; q < tw.workload.queries.size(); ++q) {
+    QueryStats stats;
+    const std::vector<uint32_t> ids = index.SearchWith(
+        scratch, tw.workload.queries.Row(q), params, &stats);
+    hash.Add(ids.size());
+    for (uint32_t id : ids) hash.Add(id);
+    hash.Add(stats.distance_evals);
+    hash.Add(stats.hops);
+    hash.Add(stats.truncated ? 1 : 0);
+    if (stats.truncated) ++*truncated;
+  }
+  return hash.value();
+}
+
+void ExpectTracePin(const AnnIndex& index, const TracePin& expected) {
+  uint32_t truncated = 0;
+  EXPECT_EQ(HashSearchTraces(index, 0, &truncated), expected.unbounded)
+      << index.name() << " unbounded";
+  EXPECT_EQ(truncated, 0u) << index.name();
+  EXPECT_EQ(HashSearchTraces(index, kPinBudget, &truncated),
+            expected.budgeted)
+      << index.name() << " budget " << kPinBudget;
+  EXPECT_GT(truncated, 0u) << index.name() << " never truncated";
+}
+
+const std::map<std::string, TracePin>& TracePins() {
+  static const auto* const kPins = new std::map<std::string, TracePin>{
+      {"KGraph", {0x3015294218d27112ULL, 0xd5d4b41c7e114d0bULL}},
+      {"NGT-panng", {0x156b8f11783edd52ULL, 0x9f25f01e5367ea12ULL}},
+      {"NGT-onng", {0x0a6d2001a82cae7eULL, 0x652a8c3e4f4f1327ULL}},
+      {"SPTAG-KDT", {0xe6c167ccd2ddc84eULL, 0x6b6fba963dd75444ULL}},
+      {"SPTAG-BKT", {0xbbeae086f988a8c8ULL, 0x4af6a5391aee8621ULL}},
+      {"NSW", {0x2fa4941e972fbbf3ULL, 0x8d7db26b1b0b9b63ULL}},
+      {"IEH", {0x622c636cc328baf1ULL, 0x2fd2e7c9cd833808ULL}},
+      {"FANNG", {0x60837e2fd29a0788ULL, 0x16abc09f06754e6aULL}},
+      {"HNSW", {0xf203038180756b17ULL, 0x560f9230a55d8058ULL}},
+      {"EFANNA", {0xb4a449e4e81c9e17ULL, 0xe03c29c4074b1ae0ULL}},
+      {"DPG", {0x2e4983cd8390a032ULL, 0xfe3f3f42ce5776c0ULL}},
+      {"NSG", {0xb203f6253fbaef33ULL, 0xc5edc3c4dac3ecefULL}},
+      {"HCNNG", {0xbb326dfd5849ce29ULL, 0xeef64291b7f7475cULL}},
+      {"Vamana", {0x488e51062f96e4d4ULL, 0x28fdbd297ea34b4bULL}},
+      {"NSSG", {0x8753fcbd2841853dULL, 0x76775c14fbebe6ceULL}},
+      {"k-DR", {0x88d30486eed6453fULL, 0x951dde9eed9e3207ULL}},
+      {"OA", {0xefb4240b7bc508f5ULL, 0x8664115a9c4bb9d8ULL}},
+      {"Dynamic:HNSW", {0x2c3f5e1b04199697ULL, 0xf67b0455c45af2a4ULL}},
+      {"SQ8:NSG", {0xc42f10df98ad5ef8ULL, 0x01688a352e4900a5ULL}},
+      {"LoadedGraph:NSG", {0xb0961e902715acefULL, 0x23e70b8322546648ULL}},
+  };
+  return *kPins;
+}
+
+TEST_P(AlgorithmFixture, SearchTraceIsPinned) {
+  auto index = CreateAlgorithm(GetParam(), SmallOptions());
+  index->Build(SharedWorkload().workload.base);
+  const auto pin = TracePins().find(GetParam());
+  ASSERT_NE(pin, TracePins().end()) << "no trace pin for " << GetParam();
+  ExpectTracePin(*index, pin->second);
+}
+
+TEST(SearchTracePinTest, QuantizedNsg) {
+  auto index = CreateAlgorithm("SQ8:NSG", SmallOptions());
+  index->Build(SharedWorkload().workload.base);
+  ExpectTracePin(*index, TracePins().at("SQ8:NSG"));
+}
+
+TEST(SearchTracePinTest, LoadedNsgGraph) {
+  const Dataset& base = SharedWorkload().workload.base;
+  auto nsg = CreateAlgorithm("NSG", SmallOptions());
+  nsg->Build(base);
+  const LoadedGraphIndex loaded(nsg->graph(), base, "NSG");
+  ExpectTracePin(loaded, TracePins().at("LoadedGraph:NSG"));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, AlgorithmFixture,

@@ -13,9 +13,12 @@
 #include "core/distance.h"
 #include "eval/ground_truth.h"
 #include "eval/synthetic.h"
+#include "test_util.h"
 
 namespace weavess {
 namespace {
+
+using ::weavess::testing::Fnv;
 
 class DynamicHnswTest : public ::testing::Test {
  protected:
@@ -265,21 +268,6 @@ uint64_t SplitMix(uint64_t& state) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
-
-class Fnv {
- public:
-  void Bytes(const void* data, size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < size; ++i) {
-      hash_ = (hash_ ^ bytes[i]) * 0x100000001b3ULL;
-    }
-  }
-  void Add(uint64_t value) { Bytes(&value, sizeof(value)); }
-  uint64_t value() const { return hash_; }
-
- private:
-  uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
 
 uint64_t HashStructure(const HnswIndex& index) {
   Fnv h;

@@ -3,6 +3,7 @@
 #ifndef WEAVESS_TESTS_TEST_UTIL_H_
 #define WEAVESS_TESTS_TEST_UTIL_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "core/index.h"
@@ -48,6 +49,23 @@ inline double MeanRecall(AnnIndex& index, const TestWorkload& tw, uint32_t k,
   }
   return total / tw.workload.queries.size();
 }
+
+/// Streaming FNV-1a 64 over raw bytes: the hash behind the trace and
+/// structure pins.
+class Fnv {
+ public:
+  void Bytes(const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash_ = (hash_ ^ bytes[i]) * 0x100000001b3ULL;
+    }
+  }
+  void Add(uint64_t value) { Bytes(&value, sizeof(value)); }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
 
 }  // namespace weavess::testing
 
