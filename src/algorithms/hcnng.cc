@@ -4,6 +4,7 @@
 
 #include "core/timer.h"
 #include "graph/mst.h"
+#include "tree/kd_tree.h"
 
 namespace weavess {
 
@@ -12,7 +13,8 @@ HcnngIndex::HcnngIndex(const Params& params) : params_(params) {}
 void HcnngIndex::ClusterAndConnect(std::vector<uint32_t>& ids, uint32_t begin,
                                    uint32_t end, DistanceOracle& oracle,
                                    Rng& rng,
-                                   std::vector<uint32_t>& mst_degree) {
+                                   std::vector<uint32_t>& mst_degree,
+                                   Graph& graph) const {
   const uint32_t count = end - begin;
   if (count <= params_.min_cluster_size) {
     // Leaf cluster: connect its members with an MST, respecting the
@@ -57,7 +59,7 @@ void HcnngIndex::ClusterAndConnect(std::vector<uint32_t>& ids, uint32_t begin,
       const uint32_t rb = find(edge.b);
       if (ra == rb) continue;
       parent[ra] = rb;
-      graph_.AddUndirectedEdge(ga, gb);
+      graph.AddUndirectedEdge(ga, gb);
       ++mst_degree[ga];
       ++mst_degree[gb];
     }
@@ -77,19 +79,17 @@ void HcnngIndex::ClusterAndConnect(std::vector<uint32_t>& ids, uint32_t begin,
       });
   uint32_t mid = static_cast<uint32_t>(mid_it - ids.begin());
   if (mid == begin || mid == end) mid = begin + count / 2;  // degenerate
-  ClusterAndConnect(ids, begin, mid, oracle, rng, mst_degree);
-  ClusterAndConnect(ids, mid, end, oracle, rng, mst_degree);
+  ClusterAndConnect(ids, begin, mid, oracle, rng, mst_degree, graph);
+  ClusterAndConnect(ids, mid, end, oracle, rng, mst_degree, graph);
 }
 
 void HcnngIndex::Build(const Dataset& data) {
-  WEAVESS_CHECK(data_ == nullptr);
-  WEAVESS_CHECK(data.size() >= 2);
-  data_ = &data;
+  BeginBuild(data);
   Timer timer;
   DistanceCounter counter;
   DistanceOracle oracle(data, &counter);
   Rng rng(params_.seed);
-  graph_ = Graph(data.size());
+  Graph graph(data.size());
 
   std::vector<uint32_t> ids(data.size());
   for (uint32_t clustering = 0; clustering < params_.num_clusterings;
@@ -98,43 +98,16 @@ void HcnngIndex::Build(const Dataset& data) {
     // Degree budget is per clustering round: each MST round may add up to
     // max_mst_degree edges per vertex.
     std::vector<uint32_t> mst_degree(data.size(), 0);
-    ClusterAndConnect(ids, 0, data.size(), oracle, rng, mst_degree);
+    ClusterAndConnect(ids, 0, data.size(), oracle, rng, mst_degree, graph);
   }
 
   auto forest = std::make_shared<KdForest>(data, params_.num_seed_trees,
                                            /*leaf_size=*/16,
                                            params_.seed ^ 0x8c99ULL);
-  seeds_ = std::make_unique<KdLeafSeedProvider>(std::move(forest),
-                                                params_.max_seeds);
-  build_stats_.seconds = timer.Seconds();
-  build_stats_.distance_evals = counter.count;
-}
-
-std::vector<uint32_t> HcnngIndex::SearchWith(SearchScratch& scratch,
-                                             const float* query,
-                                             const SearchParams& params,
-                                             QueryStats* stats) const {
-  WEAVESS_CHECK(data_ != nullptr);
-  SearchContext& ctx = scratch.ctx;
-  ctx.BeginQuery();
-  DistanceCounter counter;
-  DistanceOracle oracle(*data_, &counter);
-  ctx.ArmBudget(params.max_distance_evals, params.time_budget_us, &counter,
-                params.clock);
-  CandidatePool& pool = scratch.pool;
-  pool.Reset(std::max(params.pool_size, params.k));
-  seeds_->Seed(query, oracle, ctx, pool);
-  GuidedSearch(graph_, *data_, query, oracle, ctx, pool);
-  if (stats != nullptr) {
-    stats->distance_evals = counter.count;
-    stats->hops = ctx.hops;
-    stats->truncated = ctx.truncated;
-  }
-  return ExtractTopK(pool, params.k);
-}
-
-size_t HcnngIndex::IndexMemoryBytes() const {
-  return graph_.MemoryBytes() + (seeds_ ? seeds_->MemoryBytes() : 0);
+  FinishBuild(std::move(graph),
+              std::make_unique<KdLeafSeedProvider>(std::move(forest),
+                                                   params_.max_seeds),
+              RoutingKind::kGuided, {timer.Seconds(), counter.count});
 }
 
 std::unique_ptr<AnnIndex> CreateHcnng(const AlgorithmOptions& options) {

@@ -9,15 +9,12 @@
 #include <memory>
 
 #include "algorithms/registry.h"
-#include "core/index.h"
 #include "core/rng.h"
-#include "search/router.h"
-#include "search/seed.h"
-#include "tree/kd_tree.h"
+#include "search/graph_index.h"
 
 namespace weavess {
 
-class HcnngIndex : public AnnIndex {
+class HcnngIndex : public GraphIndex {
  public:
   struct Params {
     /// Number of hierarchical-clustering repetitions m.
@@ -34,24 +31,17 @@ class HcnngIndex : public AnnIndex {
   explicit HcnngIndex(const Params& params);
 
   void Build(const Dataset& data) override;
-  std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
-                                   const SearchParams& params,
-                                   QueryStats* stats = nullptr) const override;
-  const Graph& graph() const override { return graph_; }
-  size_t IndexMemoryBytes() const override;
-  BuildStats build_stats() const override { return build_stats_; }
   std::string name() const override { return "HCNNG"; }
 
  private:
+  // Splits ids[begin, end) recursively and joins each leaf cluster's
+  // members in `graph` by a degree-bounded MST.
   void ClusterAndConnect(std::vector<uint32_t>& ids, uint32_t begin,
                          uint32_t end, DistanceOracle& oracle, Rng& rng,
-                         std::vector<uint32_t>& mst_degree);
+                         std::vector<uint32_t>& mst_degree,
+                         Graph& graph) const;
 
   Params params_;
-  const Dataset* data_ = nullptr;
-  Graph graph_;
-  std::unique_ptr<KdLeafSeedProvider> seeds_;
-  BuildStats build_stats_;
 };
 
 std::unique_ptr<AnnIndex> CreateHcnng(const AlgorithmOptions& options);

@@ -7,11 +7,11 @@
 
 namespace weavess {
 
-KdrIndex::KdrIndex(const Params& params)
-    : params_(params), rng_(params.seed) {}
+KdrIndex::KdrIndex(const Params& params) : params_(params) {}
 
-bool KdrIndex::Reachable(uint32_t start, uint32_t target, float limit,
-                         DistanceOracle& oracle, SearchContext& ctx) const {
+bool KdrIndex::Reachable(const Graph& kept, uint32_t start, uint32_t target,
+                         float limit, DistanceOracle& oracle,
+                         SearchContext& ctx) const {
   // Bounded breadth-first reachability over kept edges; only edges shorter
   // than the direct edge can justify dropping it.
   std::vector<uint32_t> frontier = {start};
@@ -21,7 +21,7 @@ bool KdrIndex::Reachable(uint32_t start, uint32_t target, float limit,
   for (uint32_t hop = 0; hop < params_.reach_hops; ++hop) {
     next.clear();
     for (uint32_t v : frontier) {
-      for (uint32_t u : graph_.Neighbors(v)) {
+      for (uint32_t u : kept.Neighbors(v)) {
         if (ctx.visited.Visited(u)) continue;
         if (oracle.Between(v, u) >= limit) continue;
         if (u == target) return true;
@@ -36,16 +36,14 @@ bool KdrIndex::Reachable(uint32_t start, uint32_t target, float limit,
 }
 
 void KdrIndex::Build(const Dataset& data) {
-  WEAVESS_CHECK(data_ == nullptr);
-  WEAVESS_CHECK(data.size() >= 2);
-  data_ = &data;
+  BeginBuild(data);
   Timer timer;
   DistanceCounter counter;
   DistanceOracle oracle(data, &counter);
   SearchContext ctx(data.size());
 
   const Graph knng = BuildExactKnng(data, params_.knng_degree, &counter);
-  graph_ = Graph(data.size());
+  Graph graph(data.size());
   // Process candidate edges per vertex in ascending distance order (the
   // exact KNNG lists are already sorted): keep (x, y) only if y cannot
   // already reach x along kept shorter edges.
@@ -54,43 +52,16 @@ void KdrIndex::Build(const Dataset& data) {
     for (uint32_t y : knng.Neighbors(x)) {
       if (kept >= params_.max_degree) break;
       const float direct = oracle.Between(x, y);
-      if (Reachable(y, x, direct, oracle, ctx)) continue;
-      graph_.AddUndirectedEdge(x, y);
+      if (Reachable(graph, y, x, direct, oracle, ctx)) continue;
+      graph.AddUndirectedEdge(x, y);
       ++kept;
     }
   }
-  build_stats_.seconds = timer.Seconds();
-  build_stats_.distance_evals = counter.count;
-}
-
-std::vector<uint32_t> KdrIndex::SearchWith(SearchScratch& scratch,
-                                           const float* query,
-                                           const SearchParams& params,
-                                           QueryStats* stats) const {
-  WEAVESS_CHECK(data_ != nullptr);
-  SearchContext& ctx = scratch.ctx;
-  ctx.BeginQuery();
-  DistanceCounter counter;
-  DistanceOracle oracle(*data_, &counter);
-  ctx.ArmBudget(params.max_distance_evals, params.time_budget_us, &counter,
-                params.clock);
-  CandidatePool& pool = scratch.pool;
-  pool.Reset(std::max(params.pool_size, params.k));
-  // Pool-filling random seeds, like KGraph (cluster coverage scales with L).
-  // Derived from the query bytes so results are a pure function of
-  // (index, query, params) regardless of call order or thread count.
-  Rng rng(HashBytes(query, data_->dim() * sizeof(float), params_.seed));
-  std::vector<uint32_t> seeds = rng.SampleDistinct(
-      data_->size(),
-      std::min(static_cast<uint32_t>(pool.capacity()), data_->size()));
-  SeedPool(seeds, query, oracle, ctx, pool);
-  RangeSearch(graph_, query, oracle, ctx, pool, params.epsilon);
-  if (stats != nullptr) {
-    stats->distance_evals = counter.count;
-    stats->hops = ctx.hops;
-    stats->truncated = ctx.truncated;
-  }
-  return ExtractTopK(pool, params.k);
+  // Pool-filling random seeds, like KGraph: cluster coverage scales with L.
+  FinishBuild(std::move(graph),
+              std::make_unique<RandomSeedProvider>(
+                  data.size(), /*num_seeds=*/0, params_.seed),
+              RoutingKind::kRange, {timer.Seconds(), counter.count});
 }
 
 std::unique_ptr<AnnIndex> CreateKdr(const AlgorithmOptions& options) {

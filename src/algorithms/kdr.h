@@ -8,13 +8,11 @@
 #include <memory>
 
 #include "algorithms/registry.h"
-#include "core/index.h"
-#include "core/rng.h"
-#include "search/router.h"
+#include "search/graph_index.h"
 
 namespace weavess {
 
-class KdrIndex : public AnnIndex {
+class KdrIndex : public GraphIndex {
  public:
   struct Params {
     /// Neighbor count k of the initial exact KNNG (candidates for pruning).
@@ -24,32 +22,22 @@ class KdrIndex : public AnnIndex {
     uint32_t max_degree = 15;
     /// Hop bound of the reachability check.
     uint32_t reach_hops = 3;
-    uint32_t num_search_seeds = 10;
     uint64_t seed = 2024;
   };
 
   explicit KdrIndex(const Params& params);
 
   void Build(const Dataset& data) override;
-  std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
-                                   const SearchParams& params,
-                                   QueryStats* stats = nullptr) const override;
-  const Graph& graph() const override { return graph_; }
-  size_t IndexMemoryBytes() const override { return graph_.MemoryBytes(); }
-  BuildStats build_stats() const override { return build_stats_; }
   std::string name() const override { return "k-DR"; }
 
  private:
   // True when `target` is reachable from `start` within reach_hops hops
-  // using only kept edges of weight < `limit`.
-  bool Reachable(uint32_t start, uint32_t target, float limit,
-                 DistanceOracle& oracle, SearchContext& ctx) const;
+  // using only edges of `kept` with weight < `limit`.
+  bool Reachable(const Graph& kept, uint32_t start, uint32_t target,
+                 float limit, DistanceOracle& oracle,
+                 SearchContext& ctx) const;
 
   Params params_;
-  const Dataset* data_ = nullptr;
-  Graph graph_;
-  Rng rng_;
-  BuildStats build_stats_;
 };
 
 std::unique_ptr<AnnIndex> CreateKdr(const AlgorithmOptions& options);

@@ -4,6 +4,8 @@
 
 #include "core/timer.h"
 #include "graph/neighbor_selection.h"
+#include "search/router.h"
+#include "tree/vp_tree.h"
 
 namespace weavess {
 
@@ -11,9 +13,7 @@ NgtIndex::NgtIndex(const Params& params)
     : params_(params), rng_(params.seed) {}
 
 void NgtIndex::Build(const Dataset& data) {
-  WEAVESS_CHECK(data_ == nullptr);
-  WEAVESS_CHECK(data.size() >= 2);
-  data_ = &data;
+  BeginBuild(data);
   Timer timer;
   DistanceCounter counter;
   DistanceOracle oracle(data, &counter);
@@ -81,7 +81,7 @@ void NgtIndex::Build(const Dataset& data) {
 
   // --- Stage 3: path adjustment (RNG approximation) down to max_degree;
   // edges are kept undirected as in the released NGT. ---
-  graph_ = Graph(data.size());
+  Graph graph(data.size());
   std::vector<Neighbor> scored;
   for (uint32_t v = 0; v < data.size(); ++v) {
     scored.clear();
@@ -91,45 +91,18 @@ void NgtIndex::Build(const Dataset& data) {
     std::sort(scored.begin(), scored.end());
     const std::vector<Neighbor> kept =
         SelectPathAdjustment(oracle, v, scored, params_.max_degree);
-    for (const Neighbor& nb : kept) graph_.AddUndirectedEdge(v, nb.id);
+    for (const Neighbor& nb : kept) graph.AddUndirectedEdge(v, nb.id);
   }
 
   // --- Seed preprocessing: the VP-tree. ---
   VpTree::Params tree_params;
   tree_params.seed = params_.seed ^ 0x77ULL;
   auto tree = std::make_shared<VpTree>(data, tree_params);
-  seeds_ = std::make_unique<VpTreeSeedProvider>(
-      std::move(tree), params_.num_search_seeds, params_.seed_tree_checks);
-
-  build_stats_.seconds = timer.Seconds();
-  build_stats_.distance_evals = counter.count;
-}
-
-std::vector<uint32_t> NgtIndex::SearchWith(SearchScratch& scratch,
-                                           const float* query,
-                                           const SearchParams& params,
-                                           QueryStats* stats) const {
-  WEAVESS_CHECK(data_ != nullptr);
-  SearchContext& ctx = scratch.ctx;
-  ctx.BeginQuery();
-  DistanceCounter counter;
-  DistanceOracle oracle(*data_, &counter);
-  ctx.ArmBudget(params.max_distance_evals, params.time_budget_us, &counter,
-                params.clock);
-  CandidatePool& pool = scratch.pool;
-  pool.Reset(std::max(params.pool_size, params.k));
-  seeds_->Seed(query, oracle, ctx, pool);
-  RangeSearch(graph_, query, oracle, ctx, pool, params.epsilon);
-  if (stats != nullptr) {
-    stats->distance_evals = counter.count;
-    stats->hops = ctx.hops;
-    stats->truncated = ctx.truncated;
-  }
-  return ExtractTopK(pool, params.k);
-}
-
-size_t NgtIndex::IndexMemoryBytes() const {
-  return graph_.MemoryBytes() + (seeds_ ? seeds_->MemoryBytes() : 0);
+  FinishBuild(std::move(graph),
+              std::make_unique<VpTreeSeedProvider>(std::move(tree),
+                                                   params_.num_search_seeds,
+                                                   params_.seed_tree_checks),
+              RoutingKind::kRange, {timer.Seconds(), counter.count});
 }
 
 namespace {

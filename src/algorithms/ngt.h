@@ -9,15 +9,12 @@
 #include <memory>
 
 #include "algorithms/registry.h"
-#include "core/index.h"
 #include "core/rng.h"
-#include "search/router.h"
-#include "search/seed.h"
-#include "tree/vp_tree.h"
+#include "search/graph_index.h"
 
 namespace weavess {
 
-class NgtIndex : public AnnIndex {
+class NgtIndex : public GraphIndex {
  public:
   enum class Variant { kPanng, kOnng };
 
@@ -41,23 +38,13 @@ class NgtIndex : public AnnIndex {
   explicit NgtIndex(const Params& params);
 
   void Build(const Dataset& data) override;
-  std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
-                                   const SearchParams& params,
-                                   QueryStats* stats = nullptr) const override;
-  const Graph& graph() const override { return graph_; }
-  size_t IndexMemoryBytes() const override;
-  BuildStats build_stats() const override { return build_stats_; }
   std::string name() const override {
     return params_.variant == Variant::kPanng ? "NGT-panng" : "NGT-onng";
   }
 
  private:
   Params params_;
-  const Dataset* data_ = nullptr;
-  Graph graph_;
-  std::unique_ptr<VpTreeSeedProvider> seeds_;
   Rng rng_;
-  BuildStats build_stats_;
 };
 
 std::unique_ptr<AnnIndex> CreateNgtPanng(const AlgorithmOptions& options);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/timer.h"
+#include "search/router.h"
 
 namespace weavess {
 
@@ -10,13 +11,11 @@ NswIndex::NswIndex(const Params& params)
     : params_(params), rng_(params.seed) {}
 
 void NswIndex::Build(const Dataset& data) {
-  WEAVESS_CHECK(data_ == nullptr);
-  WEAVESS_CHECK(data.size() >= 2);
-  data_ = &data;
+  BeginBuild(data);
   Timer timer;
   DistanceCounter counter;
   DistanceOracle oracle(data, &counter);
-  graph_ = Graph(data.size());
+  Graph graph(data.size());
   SearchContext ctx(data.size());
 
   // Increment strategy: each point is inserted as a query against the
@@ -31,46 +30,20 @@ void NswIndex::Build(const Dataset& data) {
       seeds.push_back(static_cast<uint32_t>(rng_.NextBounded(point)));
     }
     SeedPool(seeds, data.Row(point), oracle, ctx, pool);
-    BestFirstSearch(graph_, data.Row(point), oracle, ctx, pool);
+    BestFirstSearch(graph, data.Row(point), oracle, ctx, pool);
     const uint32_t connect =
         std::min<uint32_t>(params_.edges_per_insert,
                            static_cast<uint32_t>(pool.size()));
     for (uint32_t i = 0; i < connect; ++i) {
-      graph_.AddUndirectedEdge(point, pool[i].id);
+      graph.AddUndirectedEdge(point, pool[i].id);
     }
   }
-  build_stats_.seconds = timer.Seconds();
-  build_stats_.distance_evals = counter.count;
-}
-
-std::vector<uint32_t> NswIndex::SearchWith(SearchScratch& scratch,
-                                           const float* query,
-                                           const SearchParams& params,
-                                           QueryStats* stats) const {
-  WEAVESS_CHECK(data_ != nullptr);
-  SearchContext& ctx = scratch.ctx;
-  ctx.BeginQuery();
-  DistanceCounter counter;
-  DistanceOracle oracle(*data_, &counter);
-  ctx.ArmBudget(params.max_distance_evals, params.time_budget_us, &counter,
-                params.clock);
-  CandidatePool& pool = scratch.pool;
-  pool.Reset(std::max(params.pool_size, params.k));
-  // KGraph-style seeding: fill the pool with random entries, which keeps
-  // cluster coverage proportional to the search effort L. The stream is a
-  // pure function of the query bytes (see RandomSeedProvider).
-  Rng rng(HashBytes(query, data_->dim() * sizeof(float), params_.seed));
-  std::vector<uint32_t> seeds = rng.SampleDistinct(
-      data_->size(),
-      std::min(static_cast<uint32_t>(pool.capacity()), data_->size()));
-  SeedPool(seeds, query, oracle, ctx, pool);
-  BestFirstSearch(graph_, query, oracle, ctx, pool);
-  if (stats != nullptr) {
-    stats->distance_evals = counter.count;
-    stats->hops = ctx.hops;
-    stats->truncated = ctx.truncated;
-  }
-  return ExtractTopK(pool, params.k);
+  // KGraph-style query seeding: fill the pool with random entries, which
+  // keeps cluster coverage proportional to the search effort L.
+  FinishBuild(std::move(graph),
+              std::make_unique<RandomSeedProvider>(
+                  data.size(), /*num_seeds=*/0, params_.seed),
+              RoutingKind::kBestFirst, {timer.Seconds(), counter.count});
 }
 
 std::unique_ptr<AnnIndex> CreateNsw(const AlgorithmOptions& options) {

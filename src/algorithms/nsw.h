@@ -7,13 +7,12 @@
 #include <memory>
 
 #include "algorithms/registry.h"
-#include "core/index.h"
 #include "core/rng.h"
-#include "search/router.h"
+#include "search/graph_index.h"
 
 namespace weavess {
 
-class NswIndex : public AnnIndex {
+class NswIndex : public GraphIndex {
  public:
   struct Params {
     /// Undirected edges created per insertion (max_m0 controls nothing
@@ -28,20 +27,11 @@ class NswIndex : public AnnIndex {
   explicit NswIndex(const Params& params);
 
   void Build(const Dataset& data) override;
-  std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
-                                   const SearchParams& params,
-                                   QueryStats* stats = nullptr) const override;
-  const Graph& graph() const override { return graph_; }
-  size_t IndexMemoryBytes() const override { return graph_.MemoryBytes(); }
-  BuildStats build_stats() const override { return build_stats_; }
   std::string name() const override { return "NSW"; }
 
  private:
   Params params_;
-  const Dataset* data_ = nullptr;
-  Graph graph_;
   Rng rng_;
-  BuildStats build_stats_;
 };
 
 std::unique_ptr<AnnIndex> CreateNsw(const AlgorithmOptions& options);

@@ -1,11 +1,13 @@
 #include "algorithms/sptag.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_set>
 
 #include "core/timer.h"
 #include "graph/exact_knng.h"
 #include "graph/neighbor_selection.h"
+#include "search/router.h"
 #include "tree/tp_tree.h"
 
 namespace weavess {
@@ -13,9 +15,7 @@ namespace weavess {
 SptagIndex::SptagIndex(const Params& params) : params_(params) {}
 
 void SptagIndex::Build(const Dataset& data) {
-  WEAVESS_CHECK(data_ == nullptr);
-  WEAVESS_CHECK(data.size() >= 2);
-  data_ = &data;
+  BeginBuild(data);
   Timer timer;
   DistanceCounter counter;
   DistanceOracle oracle(data, &counter);
@@ -23,13 +23,13 @@ void SptagIndex::Build(const Dataset& data) {
 
   // --- Divide and conquer: union of per-leaf exact KNNGs over several
   // independent TP-tree partitions (C1 dataset division + C2 subspace). ---
-  graph_ = Graph(data.size());
+  Graph graph(data.size());
   TpTreeParams tp;
   tp.max_leaf_size = params_.max_leaf_size;
   for (uint32_t iter = 0; iter < params_.partition_iterations; ++iter) {
     const auto leaves = TpTreePartition(data, tp, rng);
     for (const auto& leaf : leaves) {
-      MergeExactKnngOnSubset(data, leaf, params_.knng_degree, graph_,
+      MergeExactKnngOnSubset(data, leaf, params_.knng_degree, graph,
                              &counter);
     }
   }
@@ -42,14 +42,14 @@ void SptagIndex::Build(const Dataset& data) {
     for (uint32_t p = 0; p < data.size(); ++p) {
       candidates.clear();
       std::unordered_set<uint32_t> seen = {p};
-      for (uint32_t nb : graph_.Neighbors(p)) {
+      for (uint32_t nb : graph.Neighbors(p)) {
         if (seen.insert(nb).second) {
           candidates.emplace_back(nb, oracle.Between(p, nb));
         }
       }
       const size_t direct = candidates.size();
       for (size_t i = 0; i < direct; ++i) {
-        for (uint32_t hop2 : graph_.Neighbors(candidates[i].id)) {
+        for (uint32_t hop2 : graph.Neighbors(candidates[i].id)) {
           if (seen.insert(hop2).second) {
             candidates.emplace_back(hop2, oracle.Between(p, hop2));
           }
@@ -61,7 +61,7 @@ void SptagIndex::Build(const Dataset& data) {
           std::min<size_t>(params_.knng_degree, candidates.size());
       for (size_t i = 0; i < take; ++i) list.push_back(candidates[i].id);
     }
-    graph_ = std::move(propagated);
+    graph = std::move(propagated);
   }
 
   // --- BKT variant: RNG selection over the KNNG (the "recently added
@@ -70,7 +70,7 @@ void SptagIndex::Build(const Dataset& data) {
     Graph pruned(data.size());
     for (uint32_t p = 0; p < data.size(); ++p) {
       candidates.clear();
-      for (uint32_t nb : graph_.Neighbors(p)) {
+      for (uint32_t nb : graph.Neighbors(p)) {
         candidates.emplace_back(nb, oracle.Between(p, nb));
       }
       std::sort(candidates.begin(), candidates.end());
@@ -79,52 +79,47 @@ void SptagIndex::Build(const Dataset& data) {
       auto& list = pruned.MutableNeighbors(p);
       for (const Neighbor& nb : kept) list.push_back(nb.id);
     }
-    graph_ = std::move(pruned);
+    graph = std::move(pruned);
   }
 
   // --- Seed trees. ---
+  std::unique_ptr<SeedProvider> seeds;
   if (params_.variant == Variant::kKdt) {
-    kd_forest_ = std::make_shared<KdForest>(data, /*num_trees=*/2,
-                                            /*leaf_size=*/16,
-                                            params_.seed ^ 0x5d7ULL);
+    auto forest = std::make_shared<const KdForest>(
+        data, /*num_trees=*/2, /*leaf_size=*/16, params_.seed ^ 0x5d7ULL);
+    kd_forest_ = forest;
+    seeds = std::make_unique<KdForestSeedProvider>(std::move(forest),
+                                                   params_.seed_tree_checks);
   } else {
     KMeansTree::Params tree_params;
     tree_params.seed = params_.seed ^ 0xb7ULL;
-    kmeans_tree_ = std::make_shared<KMeansTree>(data, tree_params);
+    auto tree = std::make_shared<const KMeansTree>(data, tree_params);
+    kmeans_tree_ = tree;
+    seeds = std::make_unique<KMeansTreeSeedProvider>(std::move(tree),
+                                                     params_.seed_tree_checks);
   }
-
-  build_stats_.seconds = timer.Seconds();
-  build_stats_.distance_evals = counter.count;
+  FinishBuild(std::move(graph), std::move(seeds), RoutingKind::kBestFirst,
+              {timer.Seconds(), counter.count});
 }
 
-std::vector<uint32_t> SptagIndex::SearchWith(SearchScratch& scratch,
-                                             const float* query,
-                                             const SearchParams& params,
-                                             QueryStats* stats) const {
-  WEAVESS_CHECK(data_ != nullptr);
-  SearchContext& ctx = scratch.ctx;
-  ctx.BeginQuery();
-  DistanceCounter counter;
-  DistanceOracle oracle(*data_, &counter);
-  ctx.ArmBudget(params.max_distance_evals, params.time_budget_us, &counter,
-                params.clock);
-  CandidatePool& pool = scratch.pool;
-  pool.Reset(std::max(params.pool_size, params.k));
-
-  // Iterated search: on convergence, re-enter through the tree with a
-  // doubled budget — fresh leaves escape the local optimum (§4.2, C7).
+void SptagIndex::Route(const float* query, const SearchParams&,
+                       DistanceOracle& oracle, SearchContext& ctx,
+                       CandidatePool& pool) const {
+  // The seed provider made round 0's tree entry with seed_tree_checks.
   uint32_t tree_budget = params_.seed_tree_checks;
   float best_before = std::numeric_limits<float>::infinity();
   for (uint32_t round = 0; round <= params_.max_restarts; ++round) {
-    if (kd_forest_ != nullptr) {
-      kd_forest_->SearchKnn(query, tree_budget, oracle, pool);
-    } else {
-      kmeans_tree_->SearchKnn(query, tree_budget, oracle, pool);
+    if (round > 0) {
+      if (kd_forest_ != nullptr) {
+        kd_forest_->SearchKnn(query, tree_budget, oracle, pool);
+      } else {
+        kmeans_tree_->SearchKnn(query, tree_budget, oracle, pool);
+      }
+      for (const Neighbor& entry : pool.entries()) {
+        ctx.visited.MarkVisited(entry.id);
+      }
     }
-    for (const Neighbor& entry : pool.entries()) {
-      ctx.visited.MarkVisited(entry.id);
-    }
-    BestFirstSearch(graph_, query, oracle, ctx, pool);
+    BestFirstSearch(csr(), query, oracle, ctx, pool);
     if (ctx.truncated) break;  // budget tripped: no further restarts
     const float best_after =
         pool.size() > 0 ? pool[0].distance
@@ -133,18 +128,6 @@ std::vector<uint32_t> SptagIndex::SearchWith(SearchScratch& scratch,
     best_before = best_after;
     tree_budget *= 2;
   }
-  if (stats != nullptr) {
-    stats->distance_evals = counter.count;
-    stats->hops = ctx.hops;
-    stats->truncated = ctx.truncated;
-  }
-  return ExtractTopK(pool, params.k);
-}
-
-size_t SptagIndex::IndexMemoryBytes() const {
-  return graph_.MemoryBytes() +
-         (kd_forest_ ? kd_forest_->MemoryBytes() : 0) +
-         (kmeans_tree_ ? kmeans_tree_->MemoryBytes() : 0);
 }
 
 std::unique_ptr<AnnIndex> CreateSptagKdt(const AlgorithmOptions& options) {

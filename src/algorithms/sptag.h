@@ -10,15 +10,13 @@
 #include <memory>
 
 #include "algorithms/registry.h"
-#include "core/index.h"
-#include "search/router.h"
-#include "search/seed.h"
+#include "search/graph_index.h"
 #include "tree/kd_tree.h"
 #include "tree/kmeans_tree.h"
 
 namespace weavess {
 
-class SptagIndex : public AnnIndex {
+class SptagIndex : public GraphIndex {
  public:
   enum class Variant { kKdt, kBkt };
 
@@ -41,25 +39,22 @@ class SptagIndex : public AnnIndex {
   explicit SptagIndex(const Params& params);
 
   void Build(const Dataset& data) override;
-  std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
-                                   const SearchParams& params,
-                                   QueryStats* stats = nullptr) const override;
-  const Graph& graph() const override { return graph_; }
-  size_t IndexMemoryBytes() const override;
-  BuildStats build_stats() const override { return build_stats_; }
   std::string name() const override {
     return params_.variant == Variant::kKdt ? "SPTAG-KDT" : "SPTAG-BKT";
   }
 
  private:
+  // Iterated search: best-first from the tree seeds; when it converges,
+  // re-enter through the tree with a doubled budget.
+  void Route(const float* query, const SearchParams& params,
+             DistanceOracle& oracle, SearchContext& ctx,
+             CandidatePool& pool) const override;
+
   Params params_;
-  const Dataset* data_ = nullptr;
-  Graph graph_;
-  // Seed trees are held directly (not behind SeedProvider) because the
-  // iterated search grows the tree budget across restarts.
-  std::shared_ptr<KdForest> kd_forest_;
-  std::shared_ptr<KMeansTree> kmeans_tree_;
-  BuildStats build_stats_;
+  // The seed tree, shared with the seed provider that makes the first
+  // entry; the restarts search it again with larger budgets.
+  std::shared_ptr<const KdForest> kd_forest_;
+  std::shared_ptr<const KMeansTree> kmeans_tree_;
 };
 
 std::unique_ptr<AnnIndex> CreateSptagKdt(const AlgorithmOptions& options);

@@ -15,7 +15,7 @@ PipelineIndex::PipelineIndex(std::string name, const PipelineConfig& config)
     : name_(std::move(name)), config_(config) {}
 
 Graph PipelineIndex::BuildInitialGraph(DistanceCounter* counter) {
-  const Dataset& data = *data_;
+  const Dataset& data = this->data();
   const uint32_t degree = config_.nn_descent.k;
   switch (config_.init) {
     case InitKind::kRandom: {
@@ -87,7 +87,7 @@ std::vector<Neighbor> PipelineIndex::AcquireCandidates(const Graph& base,
                                                        uint32_t point,
                                                        DistanceOracle& oracle,
                                                        SearchContext& ctx) {
-  const Dataset& data = *data_;
+  const Dataset& data = this->data();
   std::vector<Neighbor> candidates;
   switch (config_.candidates) {
     case CandidateKind::kNeighbors: {
@@ -151,7 +151,7 @@ std::vector<Neighbor> PipelineIndex::AcquireCandidates(const Graph& base,
 
 Graph PipelineIndex::RefinePass(const Graph& base, float alpha,
                                 DistanceCounter* counter) {
-  const Dataset& data = *data_;
+  const Dataset& data = this->data();
   // In-place (Vamana) refinement mutates a working copy that candidate
   // acquisition also reads, so later vertices navigate the refined lists;
   // vertices are processed in a random permutation σ, as in DiskANN.
@@ -249,7 +249,7 @@ Graph PipelineIndex::RefinePass(const Graph& base, float alpha,
 }
 
 uint32_t PipelineIndex::PickRoot(DistanceCounter* counter) const {
-  const Dataset& data = *data_;
+  const Dataset& data = this->data();
   if (config_.seeds != SeedKind::kCentroid) return 0;
   // Medoid: the dataset point nearest to the component-wise mean.
   const std::vector<float> mean = data.Mean();
@@ -266,76 +266,66 @@ uint32_t PipelineIndex::PickRoot(DistanceCounter* counter) const {
   return best;
 }
 
-void PipelineIndex::PrepareSeeds(DistanceCounter* counter) {
-  (void)counter;  // reserved for seed structures that precompute distances
-  const Dataset& data = *data_;
+std::unique_ptr<SeedProvider> PipelineIndex::PrepareSeeds() {
+  const Dataset& data = this->data();
   Rng rng(config_.seed ^ 0x5eedULL);
   switch (config_.seeds) {
     case SeedKind::kRandomPerQuery:
-      seed_provider_ = std::make_unique<RandomSeedProvider>(
+      return std::make_unique<RandomSeedProvider>(
           data.size(), config_.num_seeds, config_.seed ^ 0x5eedULL);
-      break;
     case SeedKind::kRandomFixed: {
       std::vector<uint32_t> seeds = rng.SampleDistinct(
           data.size(), std::min(config_.num_seeds, data.size()));
       connect_root_ = seeds[0];
-      seed_provider_ = std::make_unique<FixedSeedProvider>(std::move(seeds));
-      break;
+      return std::make_unique<FixedSeedProvider>(std::move(seeds));
     }
-    case SeedKind::kCentroid: {
+    case SeedKind::kCentroid:
       // connect_root_ was set to the medoid at the start of Build.
-      seed_provider_ = std::make_unique<FixedSeedProvider>(
+      return std::make_unique<FixedSeedProvider>(
           std::vector<uint32_t>{connect_root_});
-      break;
-    }
     case SeedKind::kKdForest: {
       auto forest = std::make_shared<KdForest>(data, config_.kd_trees,
                                                /*leaf_size=*/16,
                                                config_.seed ^ 0xf0e57ULL);
-      seed_provider_ = std::make_unique<KdForestSeedProvider>(
+      return std::make_unique<KdForestSeedProvider>(
           std::move(forest), config_.seed_tree_checks);
-      break;
     }
     case SeedKind::kKdLeaf: {
       auto forest = std::make_shared<KdForest>(data, config_.kd_trees,
                                                /*leaf_size=*/16,
                                                config_.seed ^ 0xf0e57ULL);
-      seed_provider_ = std::make_unique<KdLeafSeedProvider>(
+      return std::make_unique<KdLeafSeedProvider>(
           std::move(forest), config_.seed_tree_checks);
-      break;
     }
     case SeedKind::kVpTree: {
       VpTree::Params params;
       params.seed = config_.seed ^ 0x59eedULL;
       auto tree = std::make_shared<VpTree>(data, params);
-      seed_provider_ = std::make_unique<VpTreeSeedProvider>(
+      return std::make_unique<VpTreeSeedProvider>(
           std::move(tree), config_.num_seeds, config_.seed_tree_checks);
-      break;
     }
     case SeedKind::kKMeansTree: {
       KMeansTree::Params params;
       params.seed = config_.seed ^ 0xb4eedULL;
       auto tree = std::make_shared<KMeansTree>(data, params);
-      seed_provider_ = std::make_unique<KMeansTreeSeedProvider>(
+      return std::make_unique<KMeansTreeSeedProvider>(
           std::move(tree), config_.seed_tree_checks);
-      break;
     }
     case SeedKind::kLsh: {
       LshTable::Params params;
       params.num_bits = config_.lsh_bits;
       params.seed = config_.seed ^ 0x1a54ULL;
       auto table = std::make_shared<LshTable>(data, params);
-      seed_provider_ = std::make_unique<LshSeedProvider>(
+      return std::make_unique<LshSeedProvider>(
           std::move(table), std::max(config_.num_seeds, 1u));
-      break;
     }
   }
+  WEAVESS_CHECK(false);
+  return nullptr;
 }
 
 void PipelineIndex::Build(const Dataset& data) {
-  WEAVESS_CHECK(data_ == nullptr);  // single Build per instance
-  WEAVESS_CHECK(data.size() >= 2);
-  data_ = &data;
+  BeginBuild(data);
   Timer timer;
   DistanceCounter counter;
 
@@ -348,85 +338,37 @@ void PipelineIndex::Build(const Dataset& data) {
   Graph init_graph = BuildInitialGraph(&counter);
 
   // C2 + C3: candidate acquisition and neighbor selection.
-  graph_ = RefinePass(init_graph, 1.0f, &counter);
+  Graph graph = RefinePass(init_graph, 1.0f, &counter);
   if (config_.selection == SelectionKind::kAlphaTwoPass) {
     // Vamana's second pass runs over the pass-1 graph with α > 1.
-    graph_ = RefinePass(graph_, config_.alpha, &counter);
+    graph = RefinePass(graph, config_.alpha, &counter);
   }
 
   // DPG-style undirection.
   if (config_.add_reverse_edges) {
-    const Graph forward = graph_;
+    const Graph forward = graph;
     for (uint32_t v = 0; v < forward.size(); ++v) {
       for (uint32_t u : forward.Neighbors(v)) {
-        graph_.AddEdgeUnique(u, v);
+        graph.AddEdgeUnique(u, v);
       }
     }
     if (config_.reverse_edge_cap > 0) {
-      graph_.TruncateDegrees(config_.reverse_edge_cap);
+      graph.TruncateDegrees(config_.reverse_edge_cap);
     }
   }
 
   // C4: seed preprocessing (before C5 so the DFS root matches the entry).
-  PrepareSeeds(&counter);
+  std::unique_ptr<SeedProvider> seeds = PrepareSeeds();
 
   // C5: connectivity, rooted at the search entry (so reachability from the
   // root implies reachability from the seeds).
   if (config_.connectivity == ConnectivityKind::kDfsTree) {
-    EnsureReachableFrom(graph_, data, connect_root_,
+    EnsureReachableFrom(graph, data, connect_root_,
                         config_.connect_pool_size, &counter);
   }
 
-  // Flatten the finished adjacency into CSR for the search hot path.
-  search_csr_ = CsrGraph(graph_);
-
-  build_stats_.seconds = timer.Seconds();
-  build_stats_.distance_evals = counter.count;
-}
-
-std::vector<uint32_t> PipelineIndex::SearchWith(SearchScratch& scratch,
-                                                const float* query,
-                                                const SearchParams& params,
-                                                QueryStats* stats) const {
-  WEAVESS_CHECK(data_ != nullptr);
-  SearchContext& ctx = scratch.ctx;
-  ctx.BeginQuery();
-  DistanceCounter counter;
-  DistanceOracle oracle(*data_, &counter);
-  ctx.ArmBudget(params.max_distance_evals, params.time_budget_us, &counter,
-                params.clock);
-  CandidatePool& pool = scratch.pool;
-  pool.Reset(std::max(params.pool_size, params.k));
-  seed_provider_->Seed(query, oracle, ctx, pool);
-  switch (config_.routing) {
-    case RoutingKind::kBestFirst:
-      BestFirstSearch(search_csr_, query, oracle, ctx, pool);
-      break;
-    case RoutingKind::kRange:
-      RangeSearch(search_csr_, query, oracle, ctx, pool, params.epsilon);
-      break;
-    case RoutingKind::kBacktrack:
-      BacktrackSearch(search_csr_, query, oracle, ctx, pool,
-                      params.backtrack);
-      break;
-    case RoutingKind::kGuided:
-      GuidedSearch(search_csr_, *data_, query, oracle, ctx, pool);
-      break;
-    case RoutingKind::kTwoStage:
-      TwoStageSearch(search_csr_, *data_, query, oracle, ctx, pool);
-      break;
-  }
-  if (stats != nullptr) {
-    stats->distance_evals = counter.count;
-    stats->hops = ctx.hops;
-    stats->truncated = ctx.truncated;
-  }
-  return ExtractTopK(pool, params.k);
-}
-
-size_t PipelineIndex::IndexMemoryBytes() const {
-  return graph_.MemoryBytes() + search_csr_.MemoryBytes() +
-         (seed_provider_ ? seed_provider_->MemoryBytes() : 0);
+  FinishBuild(std::move(graph), std::move(seeds), config_.routing,
+              {timer.Seconds(), counter.count});
 }
 
 }  // namespace weavess

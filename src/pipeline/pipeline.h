@@ -15,9 +15,8 @@
 #include <memory>
 #include <string>
 
-#include "core/flat_graph.h"
-#include "core/index.h"
 #include "graph/nn_descent.h"
+#include "search/graph_index.h"  // RoutingKind (C7)
 #include "search/seed.h"
 
 namespace weavess {
@@ -63,15 +62,6 @@ enum class SeedKind {
   kVpTree,          // NGT
   kKMeansTree,      // SPTAG-BKT
   kLsh,             // IEH
-};
-
-/// C7 — routing strategy (Definition 4.6).
-enum class RoutingKind {
-  kBestFirst,  // NSW/HNSW/KGraph/IEH/EFANNA/DPG/NSG/NSSG/Vamana
-  kRange,      // NGT
-  kBacktrack,  // FANNG
-  kGuided,     // HCNNG
-  kTwoStage,   // optimized algorithm: guided then best-first
 };
 
 struct PipelineConfig {
@@ -124,17 +114,11 @@ struct PipelineConfig {
 };
 
 /// Refinement-strategy index assembled from the seven components.
-class PipelineIndex : public AnnIndex {
+class PipelineIndex : public GraphIndex {
  public:
   PipelineIndex(std::string name, const PipelineConfig& config);
 
   void Build(const Dataset& data) override;
-  std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
-                                   const SearchParams& params,
-                                   QueryStats* stats = nullptr) const override;
-  const Graph& graph() const override { return graph_; }
-  size_t IndexMemoryBytes() const override;
-  BuildStats build_stats() const override { return build_stats_; }
   std::string name() const override { return name_; }
 
   const PipelineConfig& config() const { return config_; }
@@ -147,22 +131,14 @@ class PipelineIndex : public AnnIndex {
   std::vector<Neighbor> AcquireCandidates(const Graph& base, uint32_t point,
                                           DistanceOracle& oracle,
                                           SearchContext& ctx);
-  void PrepareSeeds(DistanceCounter* counter);
+  std::unique_ptr<SeedProvider> PrepareSeeds();
   uint32_t PickRoot(DistanceCounter* counter) const;
 
   std::string name_;
   PipelineConfig config_;
-  const Dataset* data_ = nullptr;
-  Graph graph_;
-  /// Flat CSR copy of graph_ materialized at the end of Build: the search
-  /// hot path iterates contiguous neighbor blocks instead of chasing
-  /// per-vertex vector headers (Appendix I; docs/KERNELS.md).
-  CsrGraph search_csr_;
   /// Root used by C5 connectivity repair; must be a search entry so that
   /// reachability-from-root implies reachability-from-seeds.
   uint32_t connect_root_ = 0;
-  std::unique_ptr<SeedProvider> seed_provider_;
-  BuildStats build_stats_;
 };
 
 }  // namespace weavess

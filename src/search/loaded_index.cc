@@ -1,45 +1,24 @@
 #include "search/loaded_index.h"
 
-#include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "core/check.h"
-#include "search/router.h"
 
 namespace weavess {
 
 LoadedGraphIndex::LoadedGraphIndex(Graph graph, const Dataset& data,
                                    std::string metadata)
-    : graph_(std::move(graph)),
-      csr_(graph_),
-      data_(&data),
-      metadata_(std::move(metadata)),
-      seeds_(graph_.size(), /*num_seeds=*/10, /*seed=*/2024) {}
+    : GraphIndex(data), metadata_(std::move(metadata)) {
+  const uint32_t num_vertices = graph.size();
+  FinishBuild(std::move(graph),
+              std::make_unique<RandomSeedProvider>(
+                  num_vertices, /*num_seeds=*/10, /*seed=*/2024),
+              RoutingKind::kBestFirst, BuildStats{});
+}
 
 void LoadedGraphIndex::Build(const Dataset&) {
   WEAVESS_CHECK(false && "a loaded graph index is already built");
-}
-
-std::vector<uint32_t> LoadedGraphIndex::SearchWith(SearchScratch& scratch,
-                                                   const float* query,
-                                                   const SearchParams& params,
-                                                   QueryStats* stats) const {
-  SearchContext& ctx = scratch.ctx;
-  ctx.BeginQuery();
-  DistanceCounter counter;
-  DistanceOracle oracle(*data_, &counter);
-  ctx.ArmBudget(params.max_distance_evals, params.time_budget_us, &counter,
-                params.clock);
-  CandidatePool& pool = scratch.pool;
-  pool.Reset(std::max(params.pool_size, params.k));
-  seeds_.Seed(query, oracle, ctx, pool);
-  BestFirstSearch(csr_, query, oracle, ctx, pool);
-  if (stats != nullptr) {
-    stats->distance_evals = counter.count;
-    stats->hops = ctx.hops;
-    stats->truncated = ctx.truncated;
-  }
-  return ExtractTopK(pool, params.k);
 }
 
 }  // namespace weavess

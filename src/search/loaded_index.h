@@ -1,4 +1,4 @@
-// An AnnIndex over a graph restored from the checksummed on-disk format
+// An index over a graph restored from the checksummed on-disk format
 // (core/graph_io.h): the healthy-path backend of ServingEngine::FromSavedGraph
 // and the per-shard index behind LoadShardedIndex (src/shard/sharded_index.h).
 // The loaded adjacency plus the dataset it was built over are everything
@@ -8,16 +8,13 @@
 #define WEAVESS_SEARCH_LOADED_INDEX_H_
 
 #include <string>
-#include <vector>
 
 #include "core/dataset.h"
-#include "core/flat_graph.h"
-#include "core/index.h"
-#include "search/seed.h"
+#include "search/graph_index.h"
 
 namespace weavess {
 
-class LoadedGraphIndex final : public AnnIndex {
+class LoadedGraphIndex final : public GraphIndex {
  public:
   /// `data` must have exactly graph.size() rows and outlive the index.
   /// `metadata` is the free-form string stored alongside the graph
@@ -26,32 +23,12 @@ class LoadedGraphIndex final : public AnnIndex {
 
   void Build(const Dataset&) override;
 
-  std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
-                                   const SearchParams& params,
-                                   QueryStats* stats) const override;
-
-  const Graph& graph() const override { return graph_; }
-
-  size_t IndexMemoryBytes() const override {
-    return graph_.MemoryBytes() + csr_.MemoryBytes() + seeds_.MemoryBytes();
-  }
-
-  BuildStats build_stats() const override { return {}; }
-
   std::string name() const override {
     return metadata_.empty() ? "LoadedGraph" : "LoadedGraph:" + metadata_;
   }
 
-  const std::string& metadata() const { return metadata_; }
-
  private:
-  Graph graph_;
-  // Flat CSR copy of graph_ built at load time; the search hot path walks
-  // contiguous neighbor blocks (Appendix I; docs/KERNELS.md).
-  CsrGraph csr_;
-  const Dataset* data_;
   std::string metadata_;
-  RandomSeedProvider seeds_;
 };
 
 }  // namespace weavess
