@@ -7,9 +7,9 @@
 #include "core/check.h"
 #include "core/distance.h"
 #include "core/neighbor.h"
-#include "core/rng.h"
 #include "quant/quantized_oracle.h"
 #include "search/router.h"
+#include "search/seed.h"
 
 namespace weavess {
 
@@ -100,14 +100,10 @@ std::vector<uint32_t> QuantizedIndex::SearchWith(SearchScratch& scratch,
   CandidatePool& pool = scratch.pool;
   pool.Reset(std::max({params.pool_size, rescore_want, k}));
 
-  // Query-hash-derived random seeds, evaluated at quantized distance —
-  // the same derivation RandomSeedProvider uses, so a repeated query on
-  // any thread sees identical entries.
-  const uint32_t want_seeds = std::min(num_seeds_, codes_.size());
-  Rng rng(HashBytes(query, codes_.dim() * sizeof(float), seed_));
-  const std::vector<uint32_t> seed_ids =
-      rng.SampleDistinct(codes_.size(), want_seeds);
-  SeedPool(seed_ids, query, quantized, ctx, pool);
+  // Query-hash-derived random seeds (RandomSeedProvider's derivation),
+  // evaluated at quantized distance.
+  SeedPool(QuerySeedIds(query, codes_.dim(), codes_.size(), num_seeds_, seed_),
+           query, quantized, ctx, pool);
   BestFirstSearch(*csr_, query, quantized, ctx, pool);
 
   // Stage 2: exact float rescoring of the closest rescore_want quantized

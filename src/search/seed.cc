@@ -19,6 +19,13 @@ void MarkPoolVisited(const CandidatePool& pool, SearchContext& ctx) {
 
 }  // namespace
 
+std::vector<uint32_t> QuerySeedIds(const float* query, uint32_t dim,
+                                   uint32_t num_vertices, uint32_t count,
+                                   uint64_t seed) {
+  Rng rng(HashBytes(query, dim * sizeof(float), seed));
+  return rng.SampleDistinct(num_vertices, std::min(count, num_vertices));
+}
+
 RandomSeedProvider::RandomSeedProvider(uint32_t num_vertices,
                                        uint32_t num_seeds, uint64_t seed)
     : num_vertices_(num_vertices), num_seeds_(num_seeds), seed_(seed) {
@@ -27,14 +34,10 @@ RandomSeedProvider::RandomSeedProvider(uint32_t num_vertices,
 
 void RandomSeedProvider::Seed(const float* query, DistanceOracle& oracle,
                               SearchContext& ctx, CandidatePool& pool) const {
-  const uint32_t requested =
+  const uint32_t count =
       num_seeds_ > 0 ? num_seeds_ : static_cast<uint32_t>(pool.capacity());
-  const uint32_t want = std::min(requested, num_vertices_);
-  // Derive the stream from the query bytes: a pure function, so repeated
-  // and concurrent searches of the same query are bit-for-bit identical.
-  Rng rng(HashBytes(query, oracle.dim() * sizeof(float), seed_));
-  std::vector<uint32_t> ids = rng.SampleDistinct(num_vertices_, want);
-  SeedPool(ids, query, oracle, ctx, pool);
+  SeedPool(QuerySeedIds(query, oracle.dim(), num_vertices_, count, seed_),
+           query, oracle, ctx, pool);
 }
 
 FixedSeedProvider::FixedSeedProvider(std::vector<uint32_t> seeds)

@@ -38,7 +38,17 @@ class SeedProvider {
   virtual size_t MemoryBytes() const { return 0; }
 };
 
-/// Per-query uniform-random seeds (KGraph, FANNG, NSW, DPG). The RNG
+/// The query-hash-derived random entry ids: min(count, num_vertices)
+/// distinct ids below num_vertices, drawn from an RNG stream seeded by
+/// HashBytes over the query's `dim` floats folded with `seed`. A pure
+/// function of its arguments, so repeated and concurrent searches of one
+/// query see identical entries. RandomSeedProvider and the SQ8 index's
+/// code-space seeding both draw through it.
+std::vector<uint32_t> QuerySeedIds(const float* query, uint32_t dim,
+                                   uint32_t num_vertices, uint32_t count,
+                                   uint64_t seed);
+
+/// Per-query uniform-random seeds (KGraph, FANNG, NSW, DPG, k-DR). The RNG
 /// stream is derived from HashBytes(query), not from provider state, so
 /// distinct queries still get independent entries but a repeated query —
 /// on any thread — sees identical ones. `num_seeds == 0` fills the
