@@ -1,9 +1,12 @@
-// Shared top-k selection and k-way merge. Two collaborating pieces:
+// Shared top-k selection and k-way merge. Three collaborating pieces:
 //
 //  * TopKAccumulator — a bounded max-heap that keeps the k smallest
-//    (distance, id) pairs seen so far. This is the single implementation
-//    behind every exact scan in the library (the serving brute-force
-//    fallback, degraded shard scans).
+//    (distance, id) pairs seen so far.
+//
+//  * ExactScanTopK — the budget-capped exact scan over a dataset's rows
+//    built on it: the serving brute-force fallback and degraded shard
+//    scans (the mutable tier's tombstone-skipping scan feeds its own
+//    accumulator).
 //
 //  * MergeTopK — merges per-source sorted candidate lists into one global
 //    top-k with duplicate-id suppression: the gather step of the sharded
@@ -24,6 +27,10 @@
 #include <unordered_set>
 #include <utility>
 #include <vector>
+
+#include "core/dataset.h"
+#include "core/distance.h"
+#include "core/index.h"
 
 namespace weavess {
 
@@ -82,19 +89,44 @@ class TopKAccumulator {
     return std::move(heap_);
   }
 
-  /// Convenience: TakeSorted projected onto ids.
-  std::vector<uint32_t> TakeSortedIds() {
-    const std::vector<ScoredId> sorted = TakeSorted();
-    std::vector<uint32_t> ids;
-    ids.reserve(sorted.size());
-    for (const ScoredId& entry : sorted) ids.push_back(entry.id);
-    return ids;
-  }
-
  private:
   size_t k_;
   std::vector<ScoredId> heap_;  // max-heap under operator<
 };
+
+/// The ids of `entries`, in order.
+inline std::vector<uint32_t> IdsOf(const std::vector<ScoredId>& entries) {
+  std::vector<uint32_t> ids;
+  ids.reserve(entries.size());
+  for (const ScoredId& entry : entries) ids.push_back(entry.id);
+  return ids;
+}
+
+/// Exact top-k over rows [0, rows) of `data` (rows <= data.size()), sorted
+/// by (distance, id). One evaluation per row makes a nonzero
+/// `max_distance_evals` below `rows` an exact row cap: the scan stops there
+/// and reports truncated. The scan is already bounded, so no time budget is
+/// polled mid-scan. `stats`, when given, is overwritten with the
+/// evaluations spent and the truncated flag.
+inline std::vector<ScoredId> ExactScanTopK(const Dataset& data,
+                                           const float* query, uint32_t k,
+                                           uint32_t rows,
+                                           uint64_t max_distance_evals,
+                                           QueryStats* stats) {
+  const bool truncated =
+      max_distance_evals > 0 && max_distance_evals < rows;
+  if (truncated) rows = static_cast<uint32_t>(max_distance_evals);
+  DistanceCounter counter;
+  DistanceOracle oracle(data, &counter);
+  TopKAccumulator best(std::min(k, rows));
+  for (uint32_t i = 0; i < rows; ++i) best.Push(oracle.ToQuery(query, i), i);
+  if (stats != nullptr) {
+    *stats = QueryStats{};
+    stats->distance_evals = counter.count;
+    stats->truncated = truncated;
+  }
+  return best.TakeSorted();
+}
 
 /// K-way merge of per-source candidate lists (each sorted ascending by
 /// (distance, id)) into the global top-k. Duplicate ids are suppressed:

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/check.h"
-#include "core/distance.h"
 #include "core/graph_io.h"
 #include "core/topk_merge.h"
 #include "quant/quant_io.h"
@@ -18,71 +17,40 @@ std::vector<uint32_t> BruteForceTopK(const Dataset& data, const float* query,
                                      QueryStats* stats) {
   const uint32_t rows =
       shard == 0 ? data.size() : std::min(data.size(), shard);
-  DistanceCounter counter;
-  DistanceOracle oracle(data, &counter);
-  TopKAccumulator best(std::min(k, rows));
-  for (uint32_t i = 0; i < rows; ++i) {
-    best.Push(oracle.ToQuery(query, i), i);
-  }
-  if (stats != nullptr) {
-    *stats = QueryStats{};
-    stats->distance_evals = counter.count;
-  }
-  return best.TakeSortedIds();
+  return IdsOf(ExactScanTopK(data, query, k, rows, 0, stats));
+}
+
+ServingEngine::ServingEngine(ServingConfig config, const AnnIndex* index)
+    : config_(std::move(config)),
+      clock_(config_.clock != nullptr ? config_.clock : &SteadyClock()),
+      own_metrics_(config_.metrics != nullptr ? nullptr
+                                              : new MetricsRegistry()),
+      metrics_(config_.metrics != nullptr ? config_.metrics
+                                          : own_metrics_.get()),
+      engine_(index != nullptr
+                  ? std::make_unique<SearchEngine>(*index, 1, metrics_)
+                  : nullptr),
+      quant_engine_(config_.quantized_index != nullptr
+                        ? std::make_unique<SearchEngine>(
+                              *config_.quantized_index, 1, metrics_)
+                        : nullptr),
+      pool_(config_.num_threads > 0 ? config_.num_threads - 1 : 0),
+      admission_(config_.admission),
+      ladder_(config_.degradation) {
+  WEAVESS_CHECK(config_.num_threads >= 1);
 }
 
 ServingEngine::ServingEngine(const AnnIndex& index, ServingConfig config)
-    : config_(std::move(config)),
-      clock_(config_.clock != nullptr ? config_.clock : &SteadyClock()),
-      own_metrics_(config_.metrics != nullptr ? nullptr
-                                              : new MetricsRegistry()),
-      metrics_(config_.metrics != nullptr ? config_.metrics
-                                          : own_metrics_.get()),
-      engine_(std::make_unique<SearchEngine>(index, 1, metrics_)),
-      quant_engine_(config_.quantized_index != nullptr
-                        ? std::make_unique<SearchEngine>(
-                              *config_.quantized_index, 1, metrics_)
-                        : nullptr),
-      pool_(config_.num_threads > 0 ? config_.num_threads - 1 : 0),
-      admission_(config_.admission),
-      ladder_(config_.degradation) {
-  WEAVESS_CHECK(config_.num_threads >= 1);
-}
+    : ServingEngine(std::move(config), &index) {}
 
 ServingEngine::ServingEngine(const Dataset& data, ServingConfig config)
-    : config_(std::move(config)),
-      clock_(config_.clock != nullptr ? config_.clock : &SteadyClock()),
-      own_metrics_(config_.metrics != nullptr ? nullptr
-                                              : new MetricsRegistry()),
-      metrics_(config_.metrics != nullptr ? config_.metrics
-                                          : own_metrics_.get()),
-      fallback_data_(&data),
-      quant_engine_(config_.quantized_index != nullptr
-                        ? std::make_unique<SearchEngine>(
-                              *config_.quantized_index, 1, metrics_)
-                        : nullptr),
-      pool_(config_.num_threads > 0 ? config_.num_threads - 1 : 0),
-      admission_(config_.admission),
-      ladder_(config_.degradation) {
-  WEAVESS_CHECK(config_.num_threads >= 1);
+    : ServingEngine(std::move(config), nullptr) {
+  fallback_data_ = &data;
 }
 
 ServingEngine::ServingEngine(MutableShardedIndex& index, ServingConfig config)
-    : config_(std::move(config)),
-      clock_(config_.clock != nullptr ? config_.clock : &SteadyClock()),
-      own_metrics_(config_.metrics != nullptr ? nullptr
-                                              : new MetricsRegistry()),
-      metrics_(config_.metrics != nullptr ? config_.metrics
-                                          : own_metrics_.get()),
-      mutable_(&index),
-      quant_engine_(config_.quantized_index != nullptr
-                        ? std::make_unique<SearchEngine>(
-                              *config_.quantized_index, 1, metrics_)
-                        : nullptr),
-      pool_(config_.num_threads > 0 ? config_.num_threads - 1 : 0),
-      admission_(config_.admission),
-      ladder_(config_.degradation) {
-  WEAVESS_CHECK(config_.num_threads >= 1);
+    : ServingEngine(std::move(config), nullptr) {
+  mutable_ = &index;
   // The index's mutation.* counters aggregate into this engine's registry
   // so one snapshot covers queries and writes together.
   index.set_metrics(metrics_);
@@ -90,22 +58,8 @@ ServingEngine::ServingEngine(MutableShardedIndex& index, ServingConfig config)
 
 ServingEngine::ServingEngine(std::unique_ptr<AnnIndex> owned_index,
                              ServingConfig config)
-    : config_(std::move(config)),
-      clock_(config_.clock != nullptr ? config_.clock : &SteadyClock()),
-      own_metrics_(config_.metrics != nullptr ? nullptr
-                                              : new MetricsRegistry()),
-      metrics_(config_.metrics != nullptr ? config_.metrics
-                                          : own_metrics_.get()),
-      owned_index_(std::move(owned_index)),
-      engine_(std::make_unique<SearchEngine>(*owned_index_, 1, metrics_)),
-      quant_engine_(config_.quantized_index != nullptr
-                        ? std::make_unique<SearchEngine>(
-                              *config_.quantized_index, 1, metrics_)
-                        : nullptr),
-      pool_(config_.num_threads > 0 ? config_.num_threads - 1 : 0),
-      admission_(config_.admission),
-      ladder_(config_.degradation) {
-  WEAVESS_CHECK(config_.num_threads >= 1);
+    : ServingEngine(std::move(config), owned_index.get()) {
+  owned_index_ = std::move(owned_index);
 }
 
 ServingEngine::~ServingEngine() = default;
@@ -401,21 +355,11 @@ std::vector<uint32_t> ServingEngine::FallbackSearch(const Dataset& data,
                                                     const float* query,
                                                     const SearchParams& params,
                                                     QueryStats* stats) const {
-  uint32_t rows = config_.fallback_shard == 0
-                      ? data.size()
-                      : std::min(data.size(), config_.fallback_shard);
-  bool truncated = false;
-  if (params.max_distance_evals > 0 && params.max_distance_evals < rows) {
-    // One evaluation per row makes the eval budget an exact row bound; the
-    // scan is already bounded by the shard, so the time budget is not
-    // polled mid-scan.
-    rows = static_cast<uint32_t>(params.max_distance_evals);
-    truncated = true;
-  }
-  std::vector<uint32_t> ids =
-      BruteForceTopK(data, query, params.k, rows, stats);
-  if (stats != nullptr) stats->truncated = truncated;
-  return ids;
+  const uint32_t rows = config_.fallback_shard == 0
+                            ? data.size()
+                            : std::min(data.size(), config_.fallback_shard);
+  return IdsOf(ExactScanTopK(data, query, params.k, rows,
+                             params.max_distance_evals, stats));
 }
 
 ServeOutcome ServingEngine::Serve(const float* query,

@@ -285,6 +285,10 @@ class ServingEngine {
 
  private:
   ServingEngine(std::unique_ptr<AnnIndex> owned_index, ServingConfig config);
+  /// The body every constructor delegates to: metrics, pools, admission,
+  /// the ladder, and the SearchEngine over `index` (none when null). Each
+  /// public constructor then sets its own backend member.
+  ServingEngine(ServingConfig config, const AnnIndex* index);
 
   /// Admission + deadline + tier decision for one request; must hold mu_.
   /// Returns true when admitted (tier filled in); false when shed (outcome

@@ -183,27 +183,15 @@ std::vector<uint32_t> ShardedIndex::SearchWith(SearchScratch& scratch,
             shard.ids[lid]);
       }
     } else {
-      // Degraded shard: exact scan. One evaluation per row makes the eval
-      // budget an exact row cap, as in the serving fallback.
+      // Degraded shard: exact scan, its eval budget a row cap as in the
+      // serving fallback.
       exact_scan = true;
-      uint32_t rows = shard.data.size();
-      if (per_shard.max_distance_evals > 0 &&
-          per_shard.max_distance_evals < rows) {
-        rows = static_cast<uint32_t>(per_shard.max_distance_evals);
-        shard_truncated = true;
-      }
-      DistanceCounter counter;
-      DistanceOracle oracle(shard.data, &counter);
-      TopKAccumulator best(std::min(params.k, rows));
-      for (uint32_t r = 0; r < rows; ++r) {
-        best.Push(oracle.ToQuery(query, r), r);
-      }
-      shard_evals = counter.count;
-      const std::vector<ScoredId> sorted = best.TakeSorted();
-      list.reserve(sorted.size());
-      for (const ScoredId& entry : sorted) {
-        list.emplace_back(entry.distance, shard.ids[entry.id]);
-      }
+      QueryStats scan_stats;
+      list = ExactScanTopK(shard.data, query, params.k, shard.data.size(),
+                           per_shard.max_distance_evals, &scan_stats);
+      for (ScoredId& entry : list) entry.id = shard.ids[entry.id];
+      shard_evals = scan_stats.distance_evals;
+      shard_truncated = scan_stats.truncated;
     }
     total.distance_evals += shard_evals;
     total.truncated |= shard_truncated;
@@ -223,10 +211,7 @@ std::vector<uint32_t> ShardedIndex::SearchWith(SearchScratch& scratch,
     lists.push_back(std::move(list));
   }
 
-  const std::vector<ScoredId> merged = MergeTopK(lists, params.k);
-  std::vector<uint32_t> ids;
-  ids.reserve(merged.size());
-  for (const ScoredId& entry : merged) ids.push_back(entry.id);
+  std::vector<uint32_t> ids = IdsOf(MergeTopK(lists, params.k));
   if (stats != nullptr) {
     *stats = QueryStats{};
     stats->distance_evals = total.distance_evals;
