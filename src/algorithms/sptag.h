@@ -45,7 +45,8 @@ class SptagIndex : public GraphIndex {
 
  private:
   // Iterated search: best-first from the tree seeds; when it converges,
-  // re-enter through the tree with a doubled budget.
+  // re-enter through the tree with a doubled budget — fresh leaves escape
+  // the local optimum (§4.2, C7).
   void Route(const float* query, const SearchParams& params,
              DistanceOracle& oracle, SearchContext& ctx,
              CandidatePool& pool) const override;

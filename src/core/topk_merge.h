@@ -102,17 +102,19 @@ inline std::vector<uint32_t> IdsOf(const std::vector<ScoredId>& entries) {
   return ids;
 }
 
-/// Exact top-k over rows [0, rows) of `data` (rows <= data.size()), sorted
-/// by (distance, id). One evaluation per row makes a nonzero
-/// `max_distance_evals` below `rows` an exact row cap: the scan stops there
-/// and reports truncated. The scan is already bounded, so no time budget is
-/// polled mid-scan. `stats`, when given, is overwritten with the
-/// evaluations spent and the truncated flag.
+/// Exact top-k over the first min(data.size(), max_rows) rows of `data`
+/// (max_rows 0 = every row), sorted by (distance, id). One evaluation per row
+/// makes a nonzero `max_distance_evals` below that row count an exact row
+/// cap: the scan stops there and reports truncated. The scan is already
+/// bounded, so no time budget is polled mid-scan. `stats`, when given, is
+/// overwritten with the evaluations spent and the truncated flag.
 inline std::vector<ScoredId> ExactScanTopK(const Dataset& data,
                                            const float* query, uint32_t k,
-                                           uint32_t rows,
+                                           uint32_t max_rows,
                                            uint64_t max_distance_evals,
                                            QueryStats* stats) {
+  uint32_t rows =
+      max_rows == 0 ? data.size() : std::min(data.size(), max_rows);
   const bool truncated =
       max_distance_evals > 0 && max_distance_evals < rows;
   if (truncated) rows = static_cast<uint32_t>(max_distance_evals);

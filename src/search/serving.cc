@@ -15,9 +15,7 @@ namespace weavess {
 std::vector<uint32_t> BruteForceTopK(const Dataset& data, const float* query,
                                      uint32_t k, uint32_t shard,
                                      QueryStats* stats) {
-  const uint32_t rows =
-      shard == 0 ? data.size() : std::min(data.size(), shard);
-  return IdsOf(ExactScanTopK(data, query, k, rows, 0, stats));
+  return IdsOf(ExactScanTopK(data, query, k, shard, 0, stats));
 }
 
 ServingEngine::ServingEngine(ServingConfig config, const AnnIndex* index)
@@ -355,10 +353,7 @@ std::vector<uint32_t> ServingEngine::FallbackSearch(const Dataset& data,
                                                     const float* query,
                                                     const SearchParams& params,
                                                     QueryStats* stats) const {
-  const uint32_t rows = config_.fallback_shard == 0
-                            ? data.size()
-                            : std::min(data.size(), config_.fallback_shard);
-  return IdsOf(ExactScanTopK(data, query, params.k, rows,
+  return IdsOf(ExactScanTopK(data, query, params.k, config_.fallback_shard,
                              params.max_distance_evals, stats));
 }
 

@@ -187,7 +187,7 @@ std::vector<uint32_t> ShardedIndex::SearchWith(SearchScratch& scratch,
       // serving fallback.
       exact_scan = true;
       QueryStats scan_stats;
-      list = ExactScanTopK(shard.data, query, params.k, shard.data.size(),
+      list = ExactScanTopK(shard.data, query, params.k, /*max_rows=*/0,
                            per_shard.max_distance_evals, &scan_stats);
       for (ScoredId& entry : list) entry.id = shard.ids[entry.id];
       shard_evals = scan_stats.distance_evals;

@@ -260,6 +260,31 @@ TEST(ServingTest, BruteForceKBeyondShardReturnsShort) {
   EXPECT_EQ(ids.size(), 4u);
 }
 
+TEST(ServingTest, FallbackEvalBudgetCapsTheScan) {
+  // One evaluation per row: a budget below the fallback shard scans exactly
+  // that many rows and reports truncated; one at or above it does not.
+  const TestWorkload& tw = SharedWorkload();
+  ServingConfig config;
+  config.fallback_shard = 200;
+  ServingEngine serving(tw.workload.base, config);
+  const float* query = tw.workload.queries.Row(0);
+  RequestOptions request;
+  request.params.k = 10;
+  request.params.max_distance_evals = 50;
+  const ServeOutcome capped = serving.Serve(query, request);
+  ASSERT_TRUE(capped.status.ok()) << capped.status.ToString();
+  EXPECT_EQ(capped.ids, BruteForceTopK(tw.workload.base, query, 10, 50));
+  EXPECT_EQ(capped.stats.distance_evals, 50u);
+  EXPECT_TRUE(capped.stats.truncated);
+  EXPECT_TRUE(capped.stats.degraded);
+
+  request.params.max_distance_evals = 200;
+  const ServeOutcome full = serving.Serve(query, request);
+  EXPECT_EQ(full.ids, BruteForceTopK(tw.workload.base, query, 10, 200));
+  EXPECT_EQ(full.stats.distance_evals, 200u);
+  EXPECT_FALSE(full.stats.truncated);
+}
+
 // --------------------------------------------------------- serving contract
 
 TEST(ServingTest, ServeCompletesAtFullQuality) {
