@@ -257,10 +257,7 @@ std::vector<uint32_t> MutableShardedIndex::Search(const float* query,
     total.hops += shard_stats.hops;
     total.truncated |= shard_stats.truncated;
   }
-  const std::vector<ScoredId> merged = MergeTopK(lists, params.k);
-  std::vector<uint32_t> ids;
-  ids.reserve(merged.size());
-  for (const ScoredId& entry : merged) ids.push_back(entry.id);
+  std::vector<uint32_t> ids = IdsOf(MergeTopK(lists, params.k));
   if (stats != nullptr) {
     *stats = QueryStats{};
     stats->distance_evals = total.distance_evals;
