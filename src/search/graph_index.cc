@@ -49,9 +49,10 @@ std::vector<uint32_t> GraphIndex::SearchWith(SearchScratch& scratch,
 
 // flatten: with five routers instantiated in this one translation unit,
 // GCC stops inlining their shared helpers (GatherAndEval,
-// CandidatePool::Insert) into the expansion loop, and best-first search
-// ran about 10% slower than a one-router instantiation. Flattening keeps
-// every router's hot loop call-free whichever weak copy the linker picks.
+// CandidatePool::Insert) into the expansion loop, and an NSG query took
+// about 15% more CPU than with a one-router instantiation. Flattening
+// inlines them into every router here, whichever weak copy of a router
+// the linker keeps for other callers.
 __attribute__((flatten))
 void GraphIndex::Route(const float* query, const SearchParams& params,
                        DistanceOracle& oracle, SearchContext& ctx,
