@@ -137,11 +137,7 @@ uint64_t HashSearchTraces(const AnnIndex& index, uint64_t max_distance_evals,
     QueryStats stats;
     const std::vector<uint32_t> ids = index.SearchWith(
         scratch, tw.workload.queries.Row(q), params, &stats);
-    hash.Add(ids.size());
-    for (uint32_t id : ids) hash.Add(id);
-    hash.Add(stats.distance_evals);
-    hash.Add(stats.hops);
-    hash.Add(stats.truncated ? 1 : 0);
+    hash.Query(ids, stats);
     if (stats.truncated) ++*truncated;
   }
   return hash.value();

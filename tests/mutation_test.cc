@@ -28,11 +28,13 @@
 #include "shard/mutable_index.h"
 #include "shard/mutable_shard.h"
 #include "shard/mutation_log.h"
+#include "test_util.h"
 
 namespace weavess {
 namespace {
 
 using ::weavess::testing::FlipBit;
+using ::weavess::testing::Fnv;
 
 // A per-test directory under the gtest temp root, scrubbed of any index
 // files a previous run may have left behind.
@@ -430,6 +432,51 @@ TEST(MutableShardTest, FailedCompactionDegradesToExactScanThenRecovers) {
   EXPECT_FALSE(shard.degraded());
 }
 
+// A degraded shard's exact scan treats the eval budget as a cap on live
+// rows: tombstoned rows are skipped before the cap is checked, so they cost
+// nothing, and the answer is the exact top-k of the first `budget` live rows
+// in local order.
+TEST(MutableShardTest, DegradedScanCapsLiveRowsAtTheEvalBudget) {
+  const uint32_t dim = 6;
+  const uint32_t budget = 6;
+  MutableShard shard(dim, SmallShardParams());
+  std::vector<std::vector<float>> vectors;
+  for (uint32_t id = 0; id < 20; ++id) {
+    vectors.push_back(TestVector(dim, id));
+    shard.Add(id, vectors.back().data());
+  }
+  const std::vector<uint32_t> removed = {1, 4, 5, 9, 12};
+  for (uint32_t id : removed) ASSERT_TRUE(shard.Remove(id));
+  shard.InjectCompactionFault();
+  ASSERT_FALSE(shard.Compact().ok());
+  ASSERT_TRUE(shard.degraded());
+  const auto snapshot = shard.Pin();
+  ASSERT_GT(snapshot->index->live_size(), budget);
+
+  // No compaction succeeded, so local order is insertion order.
+  std::vector<std::pair<uint32_t, std::vector<float>>> first_live;
+  for (uint32_t id = 0; first_live.size() < budget; ++id) {
+    if (std::find(removed.begin(), removed.end(), id) != removed.end()) {
+      continue;
+    }
+    first_live.emplace_back(id, vectors[id]);
+  }
+
+  SearchScratch scratch(snapshot->index->size());
+  SearchParams params;
+  params.k = 4;
+  params.max_distance_evals = budget;
+  const std::vector<float> query = TestVector(dim, 710);
+  QueryStats stats;
+  const std::vector<ScoredId> results =
+      SearchSnapshot(*snapshot, scratch, query.data(), params, &stats);
+  EXPECT_EQ(stats.distance_evals, budget);
+  EXPECT_TRUE(stats.truncated);
+  std::vector<uint32_t> ids;
+  for (const ScoredId& r : results) ids.push_back(r.id);
+  EXPECT_EQ(ids, ExactTopK(first_live, query.data(), dim, 4));
+}
+
 // Layout-independent digest of one snapshot: per vertex its label, level,
 // neighbour lists per level in order, tombstone bit and row bytes; plus
 // the entry point, max level and version.
@@ -738,6 +785,56 @@ TEST(MutationIndexTest, DistanceBudgetIsSplitAcrossShards) {
   index.Search(query.data(), params, &budgeted);
   EXPECT_TRUE(budgeted.truncated);
   EXPECT_LT(budgeted.distance_evals, unbudgeted.distance_evals);
+}
+
+// Fan-out pin for the mutable tier: every probe query at k = 10, pool 40,
+// once unbounded and once under a budget that truncates, folded into one
+// FNV-1a hash over result ids, distance_evals, hops and truncated. The index
+// has tombstones, one compacted shard (local order no longer global order)
+// and one shard degraded to exact scan. The pins were recorded from the
+// fan-out loop that ScatterGather replaced.
+uint64_t HashMutableFanOut(const MutableShardedIndex& index,
+                           uint64_t max_distance_evals, uint32_t* truncated) {
+  SearchParams params;
+  params.k = 10;
+  params.pool_size = 40;
+  params.max_distance_evals = max_distance_evals;
+  Fnv hash;
+  *truncated = 0;
+  for (uint32_t q = 0; q < 24; ++q) {
+    const std::vector<float> query = TestVector(index.dim(), 2000 + q);
+    QueryStats stats;
+    hash.Query(index.Search(query.data(), params, &stats), stats);
+    if (stats.truncated) ++*truncated;
+  }
+  return hash.value();
+}
+
+TEST(MutationIndexTest, FanOutIsPinned) {
+  const MutableIndexOptions options = SmallIndexOptions(8, 3);
+  const std::string dir = FreshDir("mut_fan_out");
+  StatusOr<std::unique_ptr<MutableShardedIndex>> opened =
+      MutableShardedIndex::Open(dir, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  MutableShardedIndex& index = **opened;
+  for (uint32_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(index.Add(TestVector(options.dim, i).data()).ok());
+  }
+  for (uint32_t id = 0; id < 300; id += 7) ASSERT_TRUE(index.Remove(id).ok());
+  ASSERT_TRUE(index.CompactShard(2).ok());
+  index.InjectCompactionFault(1);
+  ASSERT_FALSE(index.CompactShard(1).ok());
+  ASSERT_EQ(index.num_degraded_shards(), 1u);
+  MetricsRegistry metrics;
+  index.set_metrics(&metrics);
+
+  uint32_t truncated = 0;
+  EXPECT_EQ(HashMutableFanOut(index, 0, &truncated), 0xe612702ed56422acULL);
+  EXPECT_EQ(truncated, 0u);
+  EXPECT_EQ(HashMutableFanOut(index, 90, &truncated), 0x06b86795a974b254ULL);
+  EXPECT_GT(truncated, 0u) << "budget 90 never truncated";
+  // Per-shard counters belong to the static tier only.
+  EXPECT_EQ(metrics.ToJson(false).find("\"shard."), std::string::npos);
 }
 
 TEST(MutationIndexTest, GeometryMismatchIsRejectedBeforeReplay) {

@@ -14,6 +14,7 @@
 #include "core/status.h"
 #include "core/topk_merge.h"
 #include "fault_injection.h"
+#include "obs/metrics.h"
 #include "search/serving.h"
 #include "shard/manifest.h"
 #include "shard/partitioner.h"
@@ -24,6 +25,7 @@ namespace weavess {
 namespace {
 
 using ::weavess::testing::FlipBit;
+using ::weavess::testing::Fnv;
 using ::weavess::testing::MakeTestWorkload;
 using ::weavess::testing::TestWorkload;
 
@@ -455,6 +457,102 @@ TEST(ShardedPersistenceTest, EmptyShardsSurviveSaveLoad) {
   params.k = 3;
   const auto ids = (*loaded_or)->Search(tiny.queries.Row(0), params);
   EXPECT_EQ(ids.size(), 3u);
+}
+
+// ------------------------------------------------- fan-out pins
+//
+// Every query of the shared workload is searched at k = 10, pool 40, once
+// unbounded and once under an eval budget that truncates. Each run folds
+// every query's result ids, distance_evals, hops and truncated flag into one
+// FNV-1a hash, and the degraded case also folds the run's shard.<s>.*
+// counters. The pins were recorded from the per-tier fan-out loops that
+// ScatterGather replaced; a moved pin means the results or the work of the
+// sharded search changed, not only its code.
+
+constexpr uint64_t kFanOutBudget = 200;
+
+struct FanOutPin {
+  uint64_t unbounded;
+  uint64_t budgeted;
+};
+
+// Hashes one run over every workload query; `truncated` counts the queries
+// whose budget tripped. With `metrics`, the run's shard.<s>.* counter values
+// are hashed too.
+uint64_t HashFanOut(ShardedIndex& index, uint64_t max_distance_evals,
+                    uint32_t* truncated, bool hash_metrics = false) {
+  const TestWorkload& tw = SharedWorkload();
+  MetricsRegistry metrics;
+  if (hash_metrics) index.set_metrics(&metrics);
+  SearchScratch scratch(index.graph().size());
+  SearchParams params;
+  params.k = 10;
+  params.pool_size = 40;
+  params.max_distance_evals = max_distance_evals;
+  Fnv hash;
+  *truncated = 0;
+  for (uint32_t q = 0; q < tw.workload.queries.size(); ++q) {
+    QueryStats stats;
+    hash.Query(index.SearchWith(scratch, tw.workload.queries.Row(q), params,
+                                &stats),
+               stats);
+    if (stats.truncated) ++*truncated;
+  }
+  if (hash_metrics) {
+    for (uint32_t s = 0; s < index.num_shards(); ++s) {
+      const std::string prefix = "shard." + std::to_string(s) + ".";
+      for (const char* name :
+           {"searches", "distance_evals", "exact_scans", "truncated"}) {
+        hash.Add(metrics.CounterValue(prefix + name));
+      }
+    }
+    index.set_metrics(nullptr);
+  }
+  return hash.value();
+}
+
+void ExpectFanOutPin(ShardedIndex& index, const FanOutPin& expected,
+                     bool hash_metrics = false) {
+  uint32_t truncated = 0;
+  EXPECT_EQ(HashFanOut(index, 0, &truncated, hash_metrics),
+            expected.unbounded)
+      << index.name() << " unbounded";
+  EXPECT_EQ(truncated, 0u) << index.name();
+  EXPECT_EQ(HashFanOut(index, kFanOutBudget, &truncated, hash_metrics),
+            expected.budgeted)
+      << index.name() << " budget " << kFanOutBudget;
+  EXPECT_GT(truncated, 0u) << index.name() << " never truncated";
+}
+
+TEST(ShardedFanOutPinTest, BuiltHnsw) {
+  auto index = CreateAlgorithm("Sharded:HNSW", ShardedOptions(4));
+  index->Build(SharedWorkload().workload.base);
+  ExpectFanOutPin(dynamic_cast<ShardedIndex&>(*index),
+                  {0x2f23e96cf4e8ab5dULL, 0xbb766354bb09e540ULL});
+}
+
+TEST(ShardedFanOutPinTest, BuiltNsg) {
+  auto index = CreateAlgorithm("Sharded:NSG", ShardedOptions(4, "kmeans"));
+  index->Build(SharedWorkload().workload.base);
+  ExpectFanOutPin(dynamic_cast<ShardedIndex&>(*index),
+                  {0xb9bf93a878a2bc5dULL, 0x0d5e0dad36c229e9ULL});
+}
+
+TEST(ShardedFanOutPinTest, ReloadedWithOneDegradedShard) {
+  const TestWorkload& tw = SharedWorkload();
+  auto built = CreateAlgorithm("Sharded:HNSW", ShardedOptions(4));
+  built->Build(tw.workload.base);
+  const std::string prefix = TempPath("fan_out_degraded");
+  ASSERT_TRUE(dynamic_cast<ShardedIndex*>(built.get())->Save(prefix).ok());
+  const std::string bad_path = prefix + ".shard2.wvs";
+  ASSERT_TRUE(
+      WriteStringToFile(FlipBit(MustRead(bad_path), 321), bad_path).ok());
+  auto loaded_or = ShardedIndex::Load(prefix + ".manifest", tw.workload.base);
+  ASSERT_TRUE(loaded_or.ok()) << loaded_or.status().ToString();
+  ASSERT_EQ((*loaded_or)->num_degraded_shards(), 1u);
+  ExpectFanOutPin(**loaded_or,
+                  {0xa0a281cdf151235cULL, 0x2b0ef4acfb330f5cULL},
+                  /*hash_metrics=*/true);
 }
 
 // ------------------------------------------------- serving integration

@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "core/index.h"
 #include "eval/ground_truth.h"
@@ -61,6 +62,15 @@ class Fnv {
     }
   }
   void Add(uint64_t value) { Bytes(&value, sizeof(value)); }
+  /// Folds one query's trace: its result ids, distance_evals, hops and
+  /// truncated flag.
+  void Query(const std::vector<uint32_t>& ids, const QueryStats& stats) {
+    Add(ids.size());
+    for (uint32_t id : ids) Add(id);
+    Add(stats.distance_evals);
+    Add(stats.hops);
+    Add(stats.truncated ? 1 : 0);
+  }
   uint64_t value() const { return hash_; }
 
  private:
