@@ -194,6 +194,18 @@ StatusOr<Graph> LoadGraph(const std::string& path, std::string* metadata) {
   return DeserializeGraph(bytes, metadata);
 }
 
+StatusOr<Graph> LoadGraphForRows(const std::string& path, uint32_t num_rows,
+                                 std::string* metadata) {
+  WEAVESS_ASSIGN_OR_RETURN(Graph graph, LoadGraph(path, metadata));
+  if (graph.size() != num_rows) {
+    return Status::Corruption("vertex-count mismatch: graph has " +
+                              std::to_string(graph.size()) +
+                              " vertices for " + std::to_string(num_rows) +
+                              " rows");
+  }
+  return graph;
+}
+
 GraphFileReport VerifyGraphBytes(std::string_view bytes) {
   GraphFileReport report;
   report.status = ParseGraph(bytes, &report, &report.sections, nullptr);

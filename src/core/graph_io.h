@@ -60,6 +60,11 @@ Status SaveGraph(const Graph& graph, const std::string& path,
 StatusOr<Graph> LoadGraph(const std::string& path,
                           std::string* metadata = nullptr);
 
+/// LoadGraph for a graph over `num_rows` dataset rows: a file whose vertex
+/// count disagrees is Corruption, like any other damage.
+StatusOr<Graph> LoadGraphForRows(const std::string& path, uint32_t num_rows,
+                                 std::string* metadata = nullptr);
+
 /// Whole-file verification result for `weavess_cli verify`.
 struct GraphFileReport {
   Status status;  // overall verdict (OK only if every check passed)

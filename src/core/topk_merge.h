@@ -9,11 +9,11 @@
 //    accumulator).
 //
 //  * MergeTopK — merges per-source sorted candidate lists into one global
-//    top-k with duplicate-id suppression: the gather step of the sharded
-//    scatter-gather search (src/shard/sharded_index.h). Disjoint partitions
-//    cannot produce duplicates, but the merge does not rely on that — an
-//    overlapping source set (replicated shards, multi-probe) merges
-//    correctly too.
+//    top-k with duplicate-id suppression: the gather step of ScatterGather
+//    (src/shard/scatter_gather.h), which both the static and the mutable
+//    sharded tier search through. Disjoint partitions cannot produce
+//    duplicates, but the merge does not rely on that — an overlapping
+//    source set (replicated shards, multi-probe) merges correctly too.
 //
 // Ordering everywhere is lexicographic (distance, id): distance ties break
 // by ascending id, so results are deterministic regardless of source order.
@@ -130,12 +130,11 @@ inline std::vector<ScoredId> ExactScanTopK(const Dataset& data,
   return best.TakeSorted();
 }
 
-/// K-way merge of per-source candidate lists (each sorted ascending by
-/// (distance, id)) into the global top-k. Duplicate ids are suppressed:
-/// only the occurrence with the smallest (distance, id) survives, so the
-/// result is sorted and dup-free with size <= k. Unsorted input still
-/// yields a correct dup-free top-k (the merge heap orders entries), it just
-/// loses the early-exit.
+/// K-way merge of per-source candidate lists, each sorted ascending by
+/// (distance, id), into the global top-k. The merge compares only list
+/// heads, so unsorted input gives a wrong top-k ([5, 1] and [3] at k = 1
+/// return 3). Only the smallest (distance, id) occurrence of an id
+/// survives: the result is sorted and dup-free with size <= k.
 namespace topk_internal {
 
 struct MergeHead {

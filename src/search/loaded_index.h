@@ -1,6 +1,7 @@
 // An index over a graph restored from the checksummed on-disk format
 // (core/graph_io.h): the healthy-path backend of ServingEngine::FromSavedGraph
-// and the per-shard index behind LoadShardedIndex (src/shard/sharded_index.h).
+// and the per-shard index behind ShardedIndex::Load
+// (src/shard/sharded_index.h).
 // The loaded adjacency plus the dataset it was built over are everything
 // best-first routing needs; seeds are query-hash-derived, so results are
 // deterministic at any thread count like every other index.

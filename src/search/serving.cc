@@ -67,13 +67,7 @@ ServingEngine::Opened ServingEngine::FromSavedGraph(const std::string& path,
                                                     ServingConfig config) {
   Opened opened;
   std::string metadata;
-  StatusOr<Graph> graph_or = LoadGraph(path, &metadata);
-  if (graph_or.ok() && graph_or->size() != data.size()) {
-    graph_or = Status::Corruption(
-        "graph/dataset mismatch: graph has " +
-        std::to_string(graph_or->size()) + " vertices, dataset has " +
-        std::to_string(data.size()) + " rows");
-  }
+  StatusOr<Graph> graph_or = LoadGraphForRows(path, data.size(), &metadata);
   if (graph_or.ok()) {
     opened.engine.reset(new ServingEngine(
         std::make_unique<LoadedGraphIndex>(*std::move(graph_or), data,
@@ -91,13 +85,8 @@ ServingEngine::Opened ServingEngine::FromSavedGraphWithCodes(
     const Dataset& data, ServingConfig config) {
   Opened opened;
   std::string metadata;
-  StatusOr<Graph> graph_or = LoadGraph(graph_path, &metadata);
-  if (graph_or.ok() && graph_or->size() != data.size()) {
-    graph_or = Status::Corruption(
-        "graph/dataset mismatch: graph has " +
-        std::to_string(graph_or->size()) + " vertices, dataset has " +
-        std::to_string(data.size()) + " rows");
-  }
+  StatusOr<Graph> graph_or =
+      LoadGraphForRows(graph_path, data.size(), &metadata);
   if (!graph_or.ok()) {
     // No usable graph: same whole-index brute-force fallback as
     // FromSavedGraph — a broken codes file cannot make things worse.

@@ -5,8 +5,7 @@
 #include <utility>
 
 #include "core/check.h"
-#include "core/topk_merge.h"
-#include "shard/sharded_index.h"
+#include "shard/scatter_gather.h"
 
 namespace weavess {
 
@@ -239,32 +238,12 @@ std::vector<uint32_t> MutableShardedIndex::Search(const float* query,
     max_size = std::max(max_size, pinned.back()->index->size());
   }
   SearchScratch scratch(max_size);
-  QueryStats total;
-  std::vector<std::vector<ScoredId>> lists;
-  lists.reserve(num_shards);
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    const MutableShard::Snapshot& snapshot = *pinned[s];
-    if (snapshot.index->live_size() == 0) continue;
-    SearchParams per_shard = params;
-    per_shard.max_distance_evals =
-        SplitBudget(params.max_distance_evals, s, num_shards);
-    per_shard.time_budget_us =
-        SplitBudget(params.time_budget_us, s, num_shards);
-    QueryStats shard_stats;
-    lists.push_back(
-        SearchSnapshot(snapshot, scratch, query, per_shard, &shard_stats));
-    total.distance_evals += shard_stats.distance_evals;
-    total.hops += shard_stats.hops;
-    total.truncated |= shard_stats.truncated;
-  }
-  std::vector<uint32_t> ids = IdsOf(MergeTopK(lists, params.k));
-  if (stats != nullptr) {
-    *stats = QueryStats{};
-    stats->distance_evals = total.distance_evals;
-    stats->hops = total.hops;
-    stats->truncated = total.truncated;
-  }
-  return ids;
+  return ScatterGather(
+      num_shards, params, stats,
+      [&](uint32_t s, const SearchParams& per_shard, QueryStats* shard_stats) {
+        return SearchSnapshot(*pinned[s], scratch, query, per_shard,
+                              shard_stats);
+      });
 }
 
 Status MutableShardedIndex::CompactShardLocked(uint32_t shard, bool log) {

@@ -4,10 +4,10 @@
 //   * Epoch snapshots — each shard is a MutableShard publishing immutable
 //     generations through one atomic pointer; queries pin per-shard
 //     snapshots and never block on (or observe a torn state from) writers.
-//   * Scatter-gather with tombstone enforcement — Search fans the query
-//     across the pinned snapshots under evenly split budgets and k-way
-//     merges (core/topk_merge.h); deleted ids keep routing inside the graph
-//     but are filtered both at extraction and again at the merge boundary.
+//   * Scatter-gather with tombstone enforcement — Search runs the shared
+//     ScatterGather (shard/scatter_gather.h) over the pinned snapshots;
+//     deleted ids keep routing inside the graph but are filtered both at
+//     extraction and again at the merge boundary.
 //   * Crash-safe generational persistence — every mutation appends a
 //     CRC32C-framed record to a write-ahead log before it is applied, and
 //     Commit() seals a generation (kCommit frame + flush + atomic
@@ -110,11 +110,9 @@ class MutableShardedIndex {
 
   // ----------------------------------------------------------- search
 
-  /// k nearest live ids (ascending distance, ties by id), scatter-gathered
-  /// across the pinned per-shard snapshots. Lock-free: never blocks on
-  /// writers or compaction, at any concurrency. Budgets in `params` are
-  /// split evenly across shards (earlier shards absorb the remainder);
-  /// a tripped shard budget sets stats->truncated on the merged result.
+  /// k nearest live ids: ScatterGather with SearchSnapshot as the leg, over
+  /// snapshots pinned up front. Lock-free: never blocks on writers or
+  /// compaction, at any concurrency.
   std::vector<uint32_t> Search(const float* query, const SearchParams& params,
                                QueryStats* stats = nullptr) const;
 

@@ -7,9 +7,7 @@
 #include "core/check.h"
 #include "core/distance.h"
 #include "core/graph_io.h"
-#include "core/rng.h"
 #include "core/thread_pool.h"
-#include "core/topk_merge.h"
 #include "search/loaded_index.h"
 
 namespace weavess {
@@ -38,24 +36,6 @@ std::string ShardFileName(const std::string& stem, uint32_t shard) {
 }
 
 }  // namespace
-
-uint64_t SplitBudget(uint64_t total, uint32_t shard, uint32_t num_shards) {
-  if (total == 0) return 0;
-  const uint64_t base = total / num_shards;
-  const uint64_t share = base + (shard < total % num_shards ? 1 : 0);
-  return share == 0 ? 1 : share;
-}
-
-uint64_t DeriveShardSeed(uint64_t base_seed, uint32_t shard) {
-  // Explicit little-endian bytes: the derived stream is identical across
-  // architectures, like the on-disk formats.
-  const unsigned char bytes[4] = {
-      static_cast<unsigned char>(shard & 0xFF),
-      static_cast<unsigned char>((shard >> 8) & 0xFF),
-      static_cast<unsigned char>((shard >> 16) & 0xFF),
-      static_cast<unsigned char>((shard >> 24) & 0xFF)};
-  return HashBytes(bytes, sizeof(bytes), base_seed);
-}
 
 ShardedIndex::ShardedIndex(std::string algorithm, AlgorithmOptions options)
     : algorithm_(std::move(algorithm)), options_(std::move(options)) {
@@ -148,31 +128,15 @@ std::vector<uint32_t> ShardedIndex::SearchWith(SearchScratch& scratch,
                                                const float* query,
                                                const SearchParams& params,
                                                QueryStats* stats) const {
-  const uint32_t num_shards = this->num_shards();
-  QueryStats total;
-  TraceSink* trace = scratch.ctx.trace;
-  std::vector<std::vector<ScoredId>> lists;
-  lists.reserve(num_shards);
-  for (uint32_t s = 0; s < num_shards; ++s) {
+  const auto leg = [&](uint32_t s, const SearchParams& per_shard,
+                       QueryStats* shard_stats) {
     const Shard& shard = shards_[s];
-    if (shard.ids.empty()) continue;
-    SearchParams per_shard = params;
-    per_shard.max_distance_evals =
-        SplitBudget(params.max_distance_evals, s, num_shards);
-    per_shard.time_budget_us =
-        SplitBudget(params.time_budget_us, s, num_shards);
-
-    uint64_t shard_evals = 0;
-    bool shard_truncated = false;
-    bool exact_scan = false;
     std::vector<ScoredId> list;
-    if (shard.index != nullptr) {
-      QueryStats shard_stats;
+    if (shard.ids.empty()) return list;
+    const bool exact_scan = shard.index == nullptr;
+    if (!exact_scan) {
       const std::vector<uint32_t> local =
-          shard.index->SearchWith(scratch, query, per_shard, &shard_stats);
-      shard_evals = shard_stats.distance_evals;
-      shard_truncated = shard_stats.truncated;
-      total.hops += shard_stats.hops;
+          shard.index->SearchWith(scratch, query, per_shard, shard_stats);
       list.reserve(local.size());
       for (uint32_t lid : local) {
         // Re-score against the shard's own row (byte-identical to the
@@ -183,42 +147,30 @@ std::vector<uint32_t> ShardedIndex::SearchWith(SearchScratch& scratch,
             shard.ids[lid]);
       }
     } else {
-      // Degraded shard: exact scan, its eval budget a row cap as in the
+      // Degraded or tiny shard: its eval budget is a row cap, as in the
       // serving fallback.
-      exact_scan = true;
-      QueryStats scan_stats;
-      list = ExactScanTopK(shard.data, query, params.k, /*max_rows=*/0,
-                           per_shard.max_distance_evals, &scan_stats);
+      list = ExactScanTopK(shard.data, query, per_shard.k, /*max_rows=*/0,
+                           per_shard.max_distance_evals, shard_stats);
       for (ScoredId& entry : list) entry.id = shard.ids[entry.id];
-      shard_evals = scan_stats.distance_evals;
-      shard_truncated = scan_stats.truncated;
     }
-    total.distance_evals += shard_evals;
-    total.truncated |= shard_truncated;
-    if (trace != nullptr) {
+    // Distance ties come back in local id order: global order only when the
+    // id map ascends, as every partitioner's does but no loader checks.
+    std::sort(list.begin(), list.end());
+    if (TraceSink* trace = scratch.ctx.trace; trace != nullptr) {
       if (exact_scan) trace->Record(TraceEventKind::kShardFallback, s);
-      trace->Record(TraceEventKind::kShardSearch, s, shard_evals);
+      trace->Record(TraceEventKind::kShardSearch, s,
+                    shard_stats->distance_evals);
     }
     if (!shard_counters_.empty()) {
       const ShardCounters& counters = shard_counters_[s];
       counters.searches->Add(1);
-      counters.distance_evals->Add(shard_evals);
+      counters.distance_evals->Add(shard_stats->distance_evals);
       if (exact_scan) counters.exact_scans->Add(1);
-      if (shard_truncated) counters.truncated->Add(1);
+      if (shard_stats->truncated) counters.truncated->Add(1);
     }
-    // Local ids ascend with global ids inside a shard, so each list is
-    // already sorted by (distance, global id) — what MergeTopK expects.
-    lists.push_back(std::move(list));
-  }
-
-  std::vector<uint32_t> ids = IdsOf(MergeTopK(lists, params.k));
-  if (stats != nullptr) {
-    *stats = QueryStats{};
-    stats->distance_evals = total.distance_evals;
-    stats->hops = total.hops;
-    stats->truncated = total.truncated;
-  }
-  return ids;
+    return list;
+  };
+  return ScatterGather(num_shards(), params, stats, leg);
 }
 
 size_t ShardedIndex::IndexMemoryBytes() const {
@@ -307,12 +259,8 @@ StatusOr<std::unique_ptr<ShardedIndex>> ShardedIndex::Load(
     // file is not loaded (and its corruption is harmless).
     if (shard.tiny()) continue;
     std::string metadata;
-    StatusOr<Graph> graph = LoadGraph(shard.path, &metadata);
-    if (graph.ok() && graph->size() != shard.ids.size()) {
-      graph = Status::Corruption(
-          "graph has " + std::to_string(graph->size()) +
-          " vertices, manifest assigns " + std::to_string(shard.ids.size()));
-    }
+    StatusOr<Graph> graph =
+        LoadGraphForRows(shard.path, shard.data.size(), &metadata);
     if (graph.ok()) {
       shard.index = std::make_unique<LoadedGraphIndex>(
           *std::move(graph), shard.data, std::move(metadata));

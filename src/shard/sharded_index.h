@@ -7,15 +7,8 @@
 //     its own derived seed (DeriveShardSeed(base_seed, shard)), so the
 //     composed index is bit-for-bit identical at any outer thread count and
 //     for any shard-build completion order.
-//   * Search — shards are scanned in shard order on the calling thread and
-//     candidates k-way merged with global dedup (core/topk_merge.h); results
-//     are a pure function of (index, query bytes, params).
-//
-// Budget splitting: SearchParams::max_distance_evals and time_budget_us are
-// divided evenly across shards (earlier shards absorb the remainder, a
-// nonzero total never rounds to a zero share) — the sharded refinement of
-// the serving layer's tightest-wins deadline merge. A tripped shard budget
-// sets QueryStats::truncated on the merged result.
+//   * Search — one ScatterGather (shard/scatter_gather.h), so results are
+//     a pure function of (index, query bytes, params).
 //
 // Degraded shards: a shard whose graph file fails its checksummed load
 // keeps serving via an exact scan over its own rows while every other shard
@@ -38,19 +31,9 @@
 #include "obs/trace.h"
 #include "shard/manifest.h"
 #include "shard/partitioner.h"
+#include "shard/scatter_gather.h"
 
 namespace weavess {
-
-/// Seed for shard `shard` derived from the base build seed: a hash fold of
-/// the shard number, so per-shard RNG streams are independent and stable
-/// across shard counts, thread counts, and build order.
-uint64_t DeriveShardSeed(uint64_t base_seed, uint32_t shard);
-
-/// Even split of a budget across `num_shards` shards, used by both the static
-/// and the mutable tier: earlier shards absorb the remainder, and a nonzero
-/// total never rounds a shard's share to zero (a shard with a budget of 0
-/// would be unlimited, inverting the intent).
-uint64_t SplitBudget(uint64_t total, uint32_t shard, uint32_t num_shards);
 
 /// Shards with fewer rows than this (the library-wide `data.size() >= 2`
 /// graph-construction floor) never get an inner index: they serve exact
@@ -70,10 +53,9 @@ class ShardedIndex final : public AnnIndex {
   /// must outlive the index.
   void Build(const Dataset& data) override;
 
-  /// Deterministic scatter-gather: per-shard SearchWith (or exact scan for
-  /// a degraded shard) under split budgets, then a k-way merge with global
-  /// dedup. `scratch` must be sized for graph().size() vertices, which
-  /// covers every shard.
+  /// ScatterGather over the shards; the leg records each shard's trace
+  /// events and shard.<s>.* counters. `scratch` must be sized for
+  /// graph().size() vertices, which covers every shard.
   std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
                                    const SearchParams& params,
                                    QueryStats* stats = nullptr) const override;

@@ -231,6 +231,33 @@ TEST(ShardedSearchTest, AllShardsDegradedEqualsGlobalBruteForce) {
   }
 }
 
+TEST(ShardedSearchTest, DescendingIdMapStillMergesInDistanceThenIdOrder) {
+  // The manifest loader checks the id lists for a disjoint cover, not for
+  // order. Every row here is the same point, so every distance ties; with no
+  // graph files both shards serve exact scans, which return ties in local
+  // order — descending global order under these id maps. The merged answer
+  // must still be ascending (distance, id), as global brute force is.
+  const uint32_t rows = 8;
+  const Dataset base(rows, 4, std::vector<float>(rows * 4, 0.0f));
+  ShardManifest manifest;
+  manifest.algorithm = "HNSW";
+  manifest.partitioner = "random";
+  manifest.options = ShardedOptions(2);
+  manifest.total_vertices = rows;
+  manifest.shards = {{"missing0.wvs", {6, 4, 2, 0}},
+                     {"missing1.wvs", {7, 5, 3, 1}}};
+  const std::string manifest_path = TempPath("descending.manifest");
+  ASSERT_TRUE(SaveManifest(manifest, manifest_path).ok());
+  auto loaded_or = ShardedIndex::Load(manifest_path, base);
+  ASSERT_TRUE(loaded_or.ok()) << loaded_or.status().ToString();
+  ASSERT_EQ((*loaded_or)->num_degraded_shards(), 2u);
+  SearchParams params;
+  params.k = rows;
+  const std::vector<float> query(4, 0.0f);
+  EXPECT_EQ((*loaded_or)->Search(query.data(), params),
+            BruteForceTopK(base, query.data(), rows));
+}
+
 // ------------------------------------------------- determinism
 
 TEST(ShardedBuildTest, BitForBitIdenticalAtAnyThreadCount) {
