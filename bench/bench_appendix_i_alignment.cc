@@ -29,7 +29,7 @@ double RunQueries(const Dataset& base, const Dataset& queries,
   double recall_sum = 0.0;
   Timer timer;
   for (uint32_t q = 0; q < queries.size(); ++q) {
-    ctx.BeginQuery();
+    ctx.BeginQuery(base.size());
     CandidatePool pool(kPool);
     SeedPool(seeds, queries.Row(q), oracle, ctx, pool);
     size_t next;

@@ -144,13 +144,9 @@ uint32_t HnswIndex::DrawLevel() {
 }
 
 HnswIndex::BuildScratch& HnswIndex::Scratch(uint32_t workers) {
-  if (build_ == nullptr || build_->workers.size() < workers ||
-      build_->workers[0].search.ctx.visited.size() < num_points_) {
-    // Room for the index to double before the next reallocation.
-    const BuildScratch::Worker slot{
-        SearchScratch(std::max<uint32_t>(2 * num_points_, 64)), {}};
+  if (build_ == nullptr || build_->workers.size() < workers) {
     build_ = std::make_unique<BuildScratch>(
-        std::vector<BuildScratch::Worker>(workers, slot));
+        std::vector<BuildScratch::Worker>(workers));
   }
   return *build_;
 }
@@ -195,7 +191,7 @@ uint32_t HnswIndex::SelectAt(const float* query, uint32_t point,
                              std::vector<Neighbor>& selected) const {
   SearchContext& ctx = scratch.ctx;
   CandidatePool& pool = scratch.pool;
-  ctx.BeginQuery();
+  ctx.BeginQuery(num_points_);
   pool.Reset(params_.ef_construction);
   ctx.visited.MarkVisited(entry);
   pool.Insert(Neighbor(entry, oracle.ToQuery(query, entry)));
@@ -405,9 +401,8 @@ std::vector<uint32_t> HnswIndex::SearchWith(SearchScratch& scratch,
     stats->truncated = false;
   }
   if (live_size() == 0) return result;
-  WEAVESS_CHECK(scratch.ctx.visited.size() >= num_points_);
   SearchContext& ctx = scratch.ctx;
-  ctx.BeginQuery();
+  ctx.BeginQuery(num_points_);
   DistanceCounter counter;
   RowOracle oracle(*this, &counter);
   ctx.ArmBudget(params.max_distance_evals, params.time_budget_us, &counter,

@@ -157,7 +157,6 @@ class HnswIndex : public AnnIndex {
   uint64_t copied_bytes() const { return copied_bytes_; }
 
  protected:
-  uint32_t ScratchVertices() const override { return size(); }
   // Build's bookends, shared with the registry's Add-built "Dynamic:HNSW":
   // adopt data's dimension before the first row; materialize graph() and
   // release the construction scratch after the last.

@@ -16,7 +16,7 @@ bool KdrIndex::Reachable(const Graph& kept, uint32_t start, uint32_t target,
   // than the direct edge can justify dropping it.
   std::vector<uint32_t> frontier = {start};
   std::vector<uint32_t> next;
-  ctx.BeginQuery();
+  ctx.BeginQuery(kept.size());
   ctx.visited.MarkVisited(start);
   for (uint32_t hop = 0; hop < params_.reach_hops; ++hop) {
     next.clear();
@@ -40,7 +40,7 @@ void KdrIndex::Build(const Dataset& data) {
   Timer timer;
   DistanceCounter counter;
   DistanceOracle oracle(data, &counter);
-  SearchContext ctx(data.size());
+  SearchContext ctx;
 
   const Graph knng = BuildExactKnng(data, params_.knng_degree, &counter);
   Graph graph(data.size());

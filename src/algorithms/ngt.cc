@@ -17,13 +17,13 @@ void NgtIndex::Build(const Dataset& data) {
   Timer timer;
   DistanceCounter counter;
   DistanceOracle oracle(data, &counter);
-  SearchContext ctx(data.size());
+  SearchContext ctx;
 
   // --- Stage 1: incremental ANNG via range search (like NSW, but the
   // construction-time search is NGT's range search). ---
   Graph anng(data.size());
   for (uint32_t point = 1; point < data.size(); ++point) {
-    ctx.BeginQuery();
+    ctx.BeginQuery(data.size());
     CandidatePool pool(params_.ef_construction);
     std::vector<uint32_t> entries;
     const uint32_t want = std::min(3u, point);

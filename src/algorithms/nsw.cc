@@ -16,12 +16,12 @@ void NswIndex::Build(const Dataset& data) {
   DistanceCounter counter;
   DistanceOracle oracle(data, &counter);
   Graph graph(data.size());
-  SearchContext ctx(data.size());
+  SearchContext ctx;
 
   // Increment strategy: each point is inserted as a query against the
   // subgraph of previously inserted points (C1 == seed acquisition).
   for (uint32_t point = 1; point < data.size(); ++point) {
-    ctx.BeginQuery();
+    ctx.BeginQuery(data.size());
     CandidatePool pool(params_.ef_construction);
     // Random seeds among the already-inserted prefix.
     std::vector<uint32_t> seeds;

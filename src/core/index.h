@@ -90,9 +90,9 @@ class AnnIndex {
 
   /// Thread-compatible search: returns the ids of the approximate k
   /// nearest neighbors of `query`, closest first, using caller-owned
-  /// scratch (sized to at least graph().size() vertices). `stats`, when
-  /// given, receives this query's counters. Concurrent calls on distinct
-  /// scratch objects are safe.
+  /// scratch (any SearchScratch; it grows to cover this index). `stats`,
+  /// when given, receives this query's counters. Concurrent calls on
+  /// distinct scratch objects are safe.
   virtual std::vector<uint32_t> SearchWith(SearchScratch& scratch,
                                            const float* query,
                                            const SearchParams& params,
@@ -104,10 +104,7 @@ class AnnIndex {
   /// concurrent engine (search/engine.h) uses SearchWith directly.
   std::vector<uint32_t> Search(const float* query, const SearchParams& params,
                                QueryStats* stats = nullptr) {
-    const uint32_t num_vertices = ScratchVertices();
-    if (scratch_ == nullptr || scratch_->ctx.visited.size() < num_vertices) {
-      scratch_ = std::make_unique<SearchScratch>(num_vertices);
-    }
+    if (scratch_ == nullptr) scratch_ = std::make_unique<SearchScratch>();
     return SearchWith(*scratch_, query, params, stats);
   }
 
@@ -128,12 +125,8 @@ class AnnIndex {
   AnnIndex(AnnIndex&&) = default;
   AnnIndex& operator=(AnnIndex&&) = default;
 
-  /// Vertices a SearchScratch must cover: graph().size(), unless the index
-  /// grows past its materialized graph (HnswIndex::Add).
-  virtual uint32_t ScratchVertices() const { return graph().size(); }
-
  private:
-  // Lazily sized scratch backing the Search convenience wrapper.
+  // Lazily created scratch backing the Search convenience wrapper.
   std::unique_ptr<SearchScratch> scratch_;
 };
 

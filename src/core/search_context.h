@@ -1,12 +1,14 @@
 // Per-query search state. Lives in core (not search/) because the index
 // facade exposes a thread-compatible search entry point that takes this
-// scratch explicitly: the concurrent query engine owns one SearchScratch
-// per in-flight query and hands it to AnnIndex::SearchWith, so an immutable
-// index can serve many queries in parallel with zero shared mutable state.
+// scratch explicitly: concurrent searchers lease one SearchScratch per
+// in-flight query from a ScratchPool and hand it to AnnIndex::SearchWith, so
+// an immutable index can serve many queries in parallel.
 #ifndef WEAVESS_CORE_SEARCH_CONTEXT_H_
 #define WEAVESS_CORE_SEARCH_CONTEXT_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/budget.h"
@@ -24,11 +26,14 @@ namespace weavess {
 /// optional search budget that lets routing stop early with best-so-far
 /// results instead of walking to convergence.
 struct SearchContext {
+  SearchContext() = default;
   explicit SearchContext(uint32_t num_vertices) : visited(num_vertices) {}
 
-  /// Call once per query before seeding. Resets the budget to unlimited;
-  /// arm it afterwards with ArmBudget when the caller set one.
-  void BeginQuery() {
+  /// Call once per query before seeding, with the vertex count of the index
+  /// being searched: the visited list grows to cover it. Resets the budget
+  /// to unlimited; arm it afterwards with ArmBudget when the caller set one.
+  void BeginQuery(uint32_t num_vertices) {
+    visited.Grow(num_vertices);
     visited.Reset();
     hops = 0;
     truncated = false;
@@ -84,15 +89,53 @@ struct SearchContext {
 };
 
 /// Everything one in-flight query needs: visited stamps plus a reusable
-/// candidate pool. The engine keeps a free list of these sized to its
-/// concurrency, so steady-state batched search allocates nothing per query
-/// beyond the result vector.
+/// candidate pool. One scratch serves any index, growing on first use, so
+/// steady-state search allocates nothing per query beyond the result vector.
 struct SearchScratch {
-  explicit SearchScratch(uint32_t num_vertices)
-      : ctx(num_vertices), pool(1) {}
+  SearchScratch() = default;
+  /// `num_vertices` only presizes the visited list; BeginQuery grows it.
+  explicit SearchScratch(uint32_t num_vertices) : ctx(num_vertices) {}
 
   SearchContext ctx;
-  CandidatePool pool;
+  CandidatePool pool{1};
+};
+
+/// Free list of scratch shared by concurrent searchers (the query engine
+/// and the mutable sharded tier). A Lease checks one out, allocating when
+/// the list is dry, and returns it on destruction, so a throwing search
+/// never leaks one. The mutex is held for one pointer push or pop; the list
+/// grows to the peak number of concurrent leases and stays there.
+class ScratchPool {
+ public:
+  class Lease {
+   public:
+    explicit Lease(ScratchPool& pool) : pool_(pool) {
+      {
+        std::lock_guard<std::mutex> lock(pool_.mu_);
+        if (!pool_.free_.empty()) {
+          scratch_ = std::move(pool_.free_.back());
+          pool_.free_.pop_back();
+        }
+      }
+      if (scratch_ == nullptr) scratch_ = std::make_unique<SearchScratch>();
+    }
+    ~Lease() {
+      std::lock_guard<std::mutex> lock(pool_.mu_);
+      pool_.free_.push_back(std::move(scratch_));
+    }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+
+    SearchScratch& get() { return *scratch_; }
+
+   private:
+    ScratchPool& pool_;
+    std::unique_ptr<SearchScratch> scratch_;
+  };
+
+ private:
+  std::mutex mu_;
+  std::vector<std::unique_ptr<SearchScratch>> free_;
 };
 
 }  // namespace weavess

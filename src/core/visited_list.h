@@ -12,8 +12,18 @@ namespace weavess {
 
 class VisitedList {
  public:
-  explicit VisitedList(uint32_t num_elements)
-      : stamps_(num_elements, 0), epoch_(0) {}
+  VisitedList() = default;
+  explicit VisitedList(uint32_t num_elements) : stamps_(num_elements, 0) {}
+
+  /// Makes ids [0, num_elements) markable. New slots are stamped 0, which
+  /// no epoch equals after Reset, so they start unvisited. Each growth at
+  /// least doubles the list, so a growing index reallocates O(log n) times.
+  void Grow(uint32_t num_elements) {
+    if (num_elements <= stamps_.size()) return;
+    const size_t doubled =
+        std::min<size_t>(2 * stamps_.size(), UINT32_MAX);
+    stamps_.resize(std::max<size_t>(num_elements, doubled), 0);
+  }
 
   /// Starts a new query; all elements become unvisited.
   void Reset() {
@@ -46,7 +56,7 @@ class VisitedList {
 
  private:
   std::vector<uint32_t> stamps_;
-  uint32_t epoch_;
+  uint32_t epoch_ = 0;
 };
 
 }  // namespace weavess

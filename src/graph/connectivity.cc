@@ -38,13 +38,13 @@ uint32_t EnsureReachableFrom(Graph& graph, const Dataset& data, uint32_t root,
   Reach(graph, seen, stack);
 
   DistanceOracle oracle(data, counter);
-  SearchContext ctx(n);
+  SearchContext ctx;
   uint32_t bridges = 0;
   for (uint32_t u = 0; u < n; ++u) {
     if (seen[u]) continue;
     // Search the reachable part of the graph for vertices near u, then
     // bridge from the closest reachable vertex found.
-    ctx.BeginQuery();
+    ctx.BeginQuery(n);
     CandidatePool pool(search_pool_size);
     SeedPool({root}, data.Row(u), oracle, ctx, pool);
     BestFirstSearch(graph, data.Row(u), oracle, ctx, pool);

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/check.h"
+#include "core/clock.h"
 #include "core/distance.h"
 #include "core/rng.h"
 #include "core/timer.h"
@@ -35,19 +36,21 @@ EarlyTerminationIndex::EarlyTerminationIndex(std::unique_ptr<AnnIndex> base,
 EarlyTerminationIndex::~EarlyTerminationIndex() = default;
 
 EarlyTerminationIndex::Features EarlyTerminationIndex::ProbeFeatures(
-    SearchScratch& scratch, const float* query, uint32_t k,
-    QueryStats* stats) const {
+    SearchScratch& scratch, const float* query, const SearchParams& params,
+    QueryStats* stats, std::vector<uint32_t>* result) const {
   SearchParams probe;
-  probe.k = std::min(k, params_.probe_pool);
+  probe.k = std::min(params.k, params_.probe_pool);
   probe.pool_size = params_.probe_pool;
-  const std::vector<uint32_t> result =
-      base_->SearchWith(scratch, query, probe, stats);
+  probe.max_distance_evals = params.max_distance_evals;
+  probe.time_budget_us = params.time_budget_us;
+  probe.clock = params.clock;
+  *result = base_->SearchWith(scratch, query, probe, stats);
   Features f{1.0, 1.0};
-  if (!result.empty()) {
+  if (!result->empty()) {
     const float best =
-        L2Sqr(query, data_->Row(result.front()), data_->dim());
+        L2Sqr(query, data_->Row(result->front()), data_->dim());
     const float worst =
-        L2Sqr(query, data_->Row(result.back()), data_->dim());
+        L2Sqr(query, data_->Row(result->back()), data_->dim());
     f.probe_best = std::max(1e-12, static_cast<double>(best));
     f.probe_spread =
         best > 0.0f ? static_cast<double>(worst) / best : 1.0;
@@ -76,15 +79,16 @@ void EarlyTerminationIndex::Build(const Dataset& data) {
       Ladder(params_.probe_pool, params_.max_pool);
 
   // Normal equations for 3 weights.
-  SearchScratch scratch(data.size());
+  SearchScratch scratch;
+  std::vector<uint32_t> probed;
+  SearchParams full;  // unbudgeted; the probe takes only its k
+  full.k = 1;
+  full.pool_size = params_.max_pool;
   double xtx[3][3] = {{0}};
   double xty[3] = {0};
   for (uint32_t pick : picks) {
     const float* query = data.Row(pick);
-    const Features f = ProbeFeatures(scratch, query, /*k=*/1, nullptr);
-    SearchParams full;
-    full.k = 1;
-    full.pool_size = params_.max_pool;
+    const Features f = ProbeFeatures(scratch, query, full, nullptr, &probed);
     const std::vector<uint32_t> oracle = base_->Search(query, full);
     if (oracle.empty()) continue;
     double label = params_.max_pool;
@@ -135,25 +139,48 @@ void EarlyTerminationIndex::Build(const Dataset& data) {
 std::vector<uint32_t> EarlyTerminationIndex::SearchWith(
     SearchScratch& scratch, const float* query, const SearchParams& params,
     QueryStats* stats) const {
+  const Clock& clock =
+      params.clock != nullptr ? *params.clock : SteadyClock();
+  const uint64_t start_us = params.time_budget_us > 0 ? clock.NowMicros() : 0;
   QueryStats probe_stats;
-  const Features f = ProbeFeatures(scratch, query, params.k, &probe_stats);
+  std::vector<uint32_t> result;
+  const Features f =
+      ProbeFeatures(scratch, query, params, &probe_stats, &result);
+  // A probe that spent a whole budget answers the query itself, truncated;
+  // otherwise the main search gets only what the probe left of each budget.
+  const uint64_t elapsed_us =
+      params.time_budget_us > 0 ? clock.NowMicros() - start_us : 0;
+  if (probe_stats.truncated ||
+      (params.max_distance_evals > 0 &&
+       probe_stats.distance_evals >= params.max_distance_evals) ||
+      (params.time_budget_us > 0 && elapsed_us >= params.time_budget_us)) {
+    if (stats != nullptr) {
+      stats->distance_evals = probe_stats.distance_evals;
+      stats->hops = probe_stats.hops;
+      stats->truncated = true;
+    }
+    return result;
+  }
+  SearchParams adaptive = params;
+  if (adaptive.max_distance_evals > 0) {
+    adaptive.max_distance_evals -= probe_stats.distance_evals;
+  }
+  if (adaptive.time_budget_us > 0) adaptive.time_budget_us -= elapsed_us;
   // The caller's pool_size acts as a *multiplier knob* on the predicted
   // budget, preserving the sweepable tradeoff: scale = pool / 100.
   const double scale = static_cast<double>(params.pool_size) / 100.0;
   const double predicted = PredictPool(f) * scale;
-  SearchParams adaptive = params;
   adaptive.pool_size = static_cast<uint32_t>(
       std::clamp(predicted, static_cast<double>(params_.probe_pool),
                  static_cast<double>(params_.max_pool)));
   adaptive.pool_size = std::max(adaptive.pool_size, params.k);
   QueryStats main_stats;
-  std::vector<uint32_t> result =
-      base_->SearchWith(scratch, query, adaptive, &main_stats);
+  result = base_->SearchWith(scratch, query, adaptive, &main_stats);
   if (stats != nullptr) {
     stats->distance_evals =
         probe_stats.distance_evals + main_stats.distance_evals;
     stats->hops = probe_stats.hops + main_stats.hops;
-    stats->truncated = probe_stats.truncated || main_stats.truncated;
+    stats->truncated = main_stats.truncated;
   }
   return result;
 }

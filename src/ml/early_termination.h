@@ -9,6 +9,7 @@
 #define WEAVESS_ML_EARLY_TERMINATION_H_
 
 #include <memory>
+#include <vector>
 
 #include "core/index.h"
 
@@ -48,8 +49,12 @@ class EarlyTerminationIndex : public AnnIndex {
     double probe_best;   // best (squared) distance after the probe
     double probe_spread; // worst/best ratio within the probe pool
   };
+  // Runs the fixed-effort probe under the budgets and clock of `params`
+  // (its k capped at the probe pool) into `result`, then evaluates the
+  // two features; `stats` counts both.
   Features ProbeFeatures(SearchScratch& scratch, const float* query,
-                         uint32_t k, QueryStats* stats) const;
+                         const SearchParams& params, QueryStats* stats,
+                         std::vector<uint32_t>* result) const;
   double PredictPool(const Features& f) const;
 
   std::unique_ptr<AnnIndex> base_;

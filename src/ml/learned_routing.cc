@@ -70,7 +70,7 @@ std::vector<uint32_t> LearnedRoutingIndex::SearchWith(
   WEAVESS_CHECK(data_ != nullptr);
   const Graph& graph = base_->graph();
   SearchContext& ctx = scratch.ctx;
-  ctx.BeginQuery();
+  ctx.BeginQuery(data_->size());
   DistanceCounter counter;
   DistanceOracle oracle(*data_, &counter);
   ctx.ArmBudget(params.max_distance_evals, params.time_budget_us, &counter,

@@ -121,7 +121,7 @@ std::vector<Neighbor> PipelineIndex::AcquireCandidates(const Graph& base,
       // ANNS as a candidate — the search path supplies the long-range
       // candidates that make the selected graph navigable, not just the
       // converged local pool.
-      ctx.BeginQuery();
+      ctx.BeginQuery(data.size());
       CandidatePool pool(config_.candidate_search_pool);
       ctx.visited.MarkVisited(point);  // never offer p as its own neighbor
       const float* target = data.Row(point);
@@ -200,7 +200,7 @@ Graph PipelineIndex::RefinePass(const Graph& base, float alpha,
     std::vector<std::unique_ptr<SearchContext>> contexts;
     contexts.reserve(workers);
     for (uint32_t w = 0; w < workers; ++w) {
-      contexts.push_back(std::make_unique<SearchContext>(data.size()));
+      contexts.push_back(std::make_unique<SearchContext>());
     }
     ParallelForWithWorker(0, data.size(), workers,
                           [&](uint32_t p, uint32_t worker) {
@@ -213,7 +213,7 @@ Graph PipelineIndex::RefinePass(const Graph& base, float alpha,
   }
 
   DistanceOracle oracle(data, counter);
-  SearchContext ctx(data.size());
+  SearchContext ctx;
   std::vector<uint32_t> order(data.size());
   for (uint32_t i = 0; i < data.size(); ++i) order[i] = i;
   if (config_.refine_in_place) {

@@ -77,7 +77,7 @@ std::vector<uint32_t> QuantizedIndex::SearchWith(SearchScratch& scratch,
                                                  QueryStats* stats) const {
   WEAVESS_CHECK(graph_view_ != nullptr && "index is not built");
   SearchContext& ctx = scratch.ctx;
-  ctx.BeginQuery();
+  ctx.BeginQuery(codes_.size());
 
   // Stage 1: best-first traversal over SQ8 codes. The query is encoded
   // once with the stored codec, so every traversal evaluation is a pure

@@ -6,25 +6,6 @@
 
 namespace weavess {
 
-SearchEngine::ScratchLease::ScratchLease(const SearchEngine& engine)
-    : engine_(engine) {
-  {
-    std::lock_guard<std::mutex> lock(engine_.scratch_mu_);
-    if (!engine_.free_scratch_.empty()) {
-      scratch_ = std::move(engine_.free_scratch_.back());
-      engine_.free_scratch_.pop_back();
-    }
-  }
-  if (scratch_ == nullptr) {
-    scratch_ = std::make_unique<SearchScratch>(engine_.index_.graph().size());
-  }
-}
-
-SearchEngine::ScratchLease::~ScratchLease() {
-  std::lock_guard<std::mutex> lock(engine_.scratch_mu_);
-  engine_.free_scratch_.push_back(std::move(scratch_));
-}
-
 SearchEngine::SearchEngine(const AnnIndex& index, uint32_t num_threads,
                            MetricsRegistry* metrics)
     : index_(index),
@@ -48,12 +29,6 @@ SearchEngine::SearchEngine(const AnnIndex& index, uint32_t num_threads,
       metrics_->GetGauge("quant.code_bytes")
           ->Set(quantized->CodeMemoryBytes());
     }
-  }
-  // Pre-populate the free list so steady-state batches allocate nothing.
-  free_scratch_.reserve(num_threads);
-  for (uint32_t i = 0; i < num_threads; ++i) {
-    free_scratch_.push_back(
-        std::make_unique<SearchScratch>(index.graph().size()));
   }
 }
 
@@ -88,7 +63,7 @@ BatchResult SearchEngine::SearchBatch(const std::vector<const float*>& queries,
   // One task per query; tasks are claimed dynamically (load balance) but
   // task q only ever writes slot q, so the output is claim-order invariant.
   pool_.RunTasks(n, [&](uint32_t q) {
-    ScratchLease lease(*this);
+    ScratchPool::Lease lease(scratch_);
     out.ids[q] = index_.SearchWith(lease.get(), queries[q], clamped,
                                    &out.stats[q]);
   });
@@ -145,9 +120,9 @@ std::vector<uint32_t> SearchEngine::SearchOne(const float* query,
                                               const SearchParams& params,
                                               QueryStats* stats,
                                               TraceSink* trace) const {
-  ScratchLease lease(*this);
+  ScratchPool::Lease lease(scratch_);
   // Arm the caller's sink for exactly this query; scratch goes back to the
-  // free list with a null sink, so reuse never leaks a stale pointer.
+  // pool with a null sink, so reuse never leaks a stale pointer.
   lease.get().ctx.trace = trace;
   std::vector<uint32_t> ids;
   try {

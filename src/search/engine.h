@@ -1,5 +1,5 @@
 // Concurrent batched query engine. A SearchEngine owns a persistent worker
-// pool and a free list of per-query scratch (visited stamps + candidate
+// pool and a ScratchPool of per-query scratch (visited stamps + candidate
 // pool) and fans a batch of queries across the pool, one task per query.
 //
 // Determinism guarantee: every index's SearchWith is a pure function of
@@ -14,14 +14,12 @@
 // Only the default SteadyClock reintroduces scheduler-dependent timing.
 //
 // Thread safety: SearchBatch/SearchOne are const and safe to call from many
-// producer threads concurrently — scratch is checked out from a mutex-
-// protected free list per query, never keyed by worker identity.
+// producer threads concurrently — scratch is leased from the ScratchPool
+// (core/search_context.h) per query, never keyed by worker identity.
 #ifndef WEAVESS_SEARCH_ENGINE_H_
 #define WEAVESS_SEARCH_ENGINE_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/dataset.h"
@@ -104,25 +102,11 @@ class SearchEngine {
  private:
   SearchParams ClampParams(const SearchParams& params) const;
 
-  // Checks a scratch out of the free list (allocating if the list is dry)
-  // and returns it on destruction — exception-safe under throwing searches.
-  class ScratchLease {
-   public:
-    explicit ScratchLease(const SearchEngine& engine);
-    ~ScratchLease();
-    SearchScratch& get() { return *scratch_; }
-
-   private:
-    const SearchEngine& engine_;
-    std::unique_ptr<SearchScratch> scratch_;
-  };
-
   const AnnIndex& index_;
   uint32_t num_threads_;
   MetricsRegistry* metrics_ = nullptr;
   mutable ThreadPool pool_;
-  mutable std::mutex scratch_mu_;
-  mutable std::vector<std::unique_ptr<SearchScratch>> free_scratch_;
+  mutable ScratchPool scratch_;
 };
 
 }  // namespace weavess

@@ -57,8 +57,8 @@ std::vector<uint32_t> FilteredSearcher::Search(const float* query,
 
   DistanceCounter counter;
   DistanceOracle oracle(*data_, &counter);
-  SearchContext ctx(data_->size());
-  ctx.BeginQuery();
+  SearchContext ctx;
+  ctx.BeginQuery(data_->size());
   ctx.ArmBudget(params.max_distance_evals, params.time_budget_us, &counter,
                 params.clock);
   const Graph& graph = index_->graph();

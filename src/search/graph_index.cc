@@ -30,7 +30,7 @@ std::vector<uint32_t> GraphIndex::SearchWith(SearchScratch& scratch,
                                              QueryStats* stats) const {
   WEAVESS_CHECK(seeds_ != nullptr && "index is not built");
   SearchContext& ctx = scratch.ctx;
-  ctx.BeginQuery();
+  ctx.BeginQuery(csr_.size());
   DistanceCounter counter;
   DistanceOracle oracle(*data_, &counter);
   ctx.ArmBudget(params.max_distance_evals, params.time_budget_us, &counter,

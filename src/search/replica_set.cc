@@ -497,14 +497,7 @@ Status ReplicaSet::RepairReplica(uint32_t replica) {
                                    " replicas");
   }
   Replica& rep = *replicas_[replica];
-  if (rep.engine->sharded_index() != nullptr) {
-    const ShardedIndex* sharded = rep.engine->sharded_index();
-    for (uint32_t s = 0; s < sharded->num_shards(); ++s) {
-      if (!sharded->shard_status(s).ok()) {
-        WEAVESS_RETURN_IF_ERROR(rep.engine->RepairShard(s));
-      }
-    }
-  } else if (rep.engine->fallback_mode()) {
+  if (rep.engine->fallback_mode()) {
     if (rep.source_path.empty() || manifest_data_ == nullptr) {
       return Status::InvalidArgument(
           "replica " + std::to_string(replica) +
@@ -529,12 +522,12 @@ Status ReplicaSet::RepairReplica(uint32_t replica) {
     // Engine swap requires quiescence on this replica (see header), the
     // same contract as RepairShard.
     rep.engine = std::move(reopened.engine);
-    if (rep.engine->sharded_index() != nullptr) {
-      const ShardedIndex* sharded = rep.engine->sharded_index();
-      for (uint32_t s = 0; s < sharded->num_shards(); ++s) {
-        if (!sharded->shard_status(s).ok()) {
-          WEAVESS_RETURN_IF_ERROR(rep.engine->RepairShard(s));
-        }
+  }
+  // A reloaded shard manifest can still carry degraded shards.
+  if (const ShardedIndex* sharded = rep.engine->sharded_index()) {
+    for (uint32_t s = 0; s < sharded->num_shards(); ++s) {
+      if (!sharded->shard_status(s).ok()) {
+        WEAVESS_RETURN_IF_ERROR(rep.engine->RepairShard(s));
       }
     }
   }

@@ -19,9 +19,10 @@
 //      hedge_after_us; if it comes back truncated or failed, a second send
 //      goes to the next candidate with the full remaining budget. First
 //      success wins; the loser was already cancelled by its budget.
-//   5. Repairs — RepairReplica rebuilds degraded shards (RepairShard) or
-//      reloads a fallback replica from its manifest-recorded source, and
-//      ProbeQuarantined re-admits repaired replicas through probe traffic.
+//   5. Repairs — RepairReplica reloads a fallback replica from its
+//      manifest-recorded source, then rebuilds degraded shards
+//      (RepairShard), and ProbeQuarantined re-admits repaired replicas
+//      through probe traffic.
 //
 // Determinism: routing plans and health transitions are computed
 // sequentially, in request-submission order, under one lock — never on
@@ -192,12 +193,13 @@ class ReplicaSet {
   ReplicaBatchResult ServeBatch(const std::vector<const float*>& queries,
                                 const RequestOptions& request = {});
 
-  /// Out-of-band repair: rebuilds every degraded shard of a sharded
-  /// replica (RepairShard), or reloads a fallback replica from its
-  /// manifest-recorded source file. On success the replica's next probe is
-  /// due immediately; it re-earns traffic through probes and live
-  /// successes rather than being declared healthy. Requires quiescence on
-  /// that replica (drain or idle), like RepairShard itself.
+  /// Out-of-band repair: reloads a fallback replica from its
+  /// manifest-recorded source file, then rebuilds every degraded shard of
+  /// a sharded replica (RepairShard), the reloaded one included. On
+  /// success the replica's next probe is due immediately; it re-earns
+  /// traffic through probes and live successes rather than being declared
+  /// healthy. Requires quiescence on that replica (drain or idle), like
+  /// RepairShard itself.
   Status RepairReplica(uint32_t replica);
 
   /// Runs every due probe (quarantined replicas whose backoff elapsed)

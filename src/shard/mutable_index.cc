@@ -232,16 +232,14 @@ std::vector<uint32_t> MutableShardedIndex::Search(const float* query,
   // writers or compaction do meanwhile.
   std::vector<std::shared_ptr<const MutableShard::Snapshot>> pinned;
   pinned.reserve(num_shards);
-  uint32_t max_size = 1;
   for (uint32_t s = 0; s < num_shards; ++s) {
     pinned.push_back(shards_[s]->Pin());
-    max_size = std::max(max_size, pinned.back()->index->size());
   }
-  SearchScratch scratch(max_size);
+  ScratchPool::Lease scratch(scratch_pool_);
   return ScatterGather(
       num_shards, params, stats,
       [&](uint32_t s, const SearchParams& per_shard, QueryStats* shard_stats) {
-        return SearchSnapshot(*pinned[s], scratch, query, per_shard,
+        return SearchSnapshot(*pinned[s], scratch.get(), query, per_shard,
                               shard_stats);
       });
 }

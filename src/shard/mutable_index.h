@@ -22,11 +22,13 @@
 // the index that committed — the property the kill-anywhere chaos suite
 // asserts (tests/mutation_chaos_test.cc).
 //
-// Concurrency contract: Search is const, lock-free, and safe from any
-// number of threads concurrently with any mutation. Mutators and Commit
-// serialize on one writer mutex. CompactShard holds the writer mutex for
-// the rebuild — concurrent *mutations* stall briefly, readers never do
-// (they keep serving the pre-compaction snapshot until the atomic swap).
+// Concurrency contract: Search is const and safe from any number of threads
+// concurrently with any mutation. It never waits on writers or compaction:
+// its only lock is the scratch pool's mutex, held for one pointer push or
+// pop. Mutators and Commit serialize on one writer mutex. CompactShard
+// holds the writer mutex for the rebuild — concurrent *mutations* stall
+// briefly, readers never do (they keep serving the pre-compaction snapshot
+// until the atomic swap).
 #ifndef WEAVESS_SHARD_MUTABLE_INDEX_H_
 #define WEAVESS_SHARD_MUTABLE_INDEX_H_
 
@@ -111,8 +113,9 @@ class MutableShardedIndex {
   // ----------------------------------------------------------- search
 
   /// k nearest live ids: ScatterGather with SearchSnapshot as the leg, over
-  /// snapshots pinned up front. Lock-free: never blocks on writers or
-  /// compaction, at any concurrency.
+  /// snapshots pinned up front, on scratch leased from the index's
+  /// ScratchPool. Never blocks on writers or compaction, at any concurrency;
+  /// the pool's mutex is held only for one pointer push or pop.
   std::vector<uint32_t> Search(const float* query, const SearchParams& params,
                                QueryStats* stats = nullptr) const;
 
@@ -203,6 +206,8 @@ class MutableShardedIndex {
   std::atomic<uint32_t> next_id_{0};
   std::atomic<uint32_t> live_count_{0};
   RecoveryInfo recovery_;
+  /// Reader scratch, shared by every concurrent Search.
+  mutable ScratchPool scratch_pool_;
 
   /// Pre-resolved mutation instruments (null slots when detached);
   /// written by set_metrics under quiescence, read under writer_mu_.

@@ -114,7 +114,7 @@ class MutableShard {
 /// mutable scatter-gather. A degraded snapshot is served by an exact scan
 /// over its live vectors. Tombstoned ids never appear in the result: the
 /// graph search filters them at extraction and this wrapper re-checks at
-/// the merge boundary. `scratch` must be sized for the snapshot's index.
+/// the merge boundary.
 std::vector<ScoredId> SearchSnapshot(const MutableShard::Snapshot& snapshot,
                                      SearchScratch& scratch,
                                      const float* query,

@@ -54,8 +54,7 @@ class ShardedIndex final : public AnnIndex {
   void Build(const Dataset& data) override;
 
   /// ScatterGather over the shards; the leg records each shard's trace
-  /// events and shard.<s>.* counters. `scratch` must be sized for
-  /// graph().size() vertices, which covers every shard.
+  /// events and shard.<s>.* counters.
   std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
                                    const SearchParams& params,
                                    QueryStats* stats = nullptr) const override;

@@ -202,6 +202,60 @@ TEST(SearchTracePinTest, LoadedNsgGraph) {
   ExpectTracePin(loaded, TracePins().at("LoadedGraph:NSG"));
 }
 
+// ---------- Scratch reuse ----------
+//
+// A scratch grows to cover whatever index it is handed, so one scratch
+// carried from a small index to a larger one and back must trace every
+// query exactly like a fresh scratch does, unbounded and under a budget.
+
+uint64_t TraceWith(const AnnIndex& index, SearchScratch& scratch) {
+  const Dataset& queries = SharedWorkload().workload.queries;
+  SearchParams params;
+  params.k = 10;
+  params.pool_size = kPinPool;
+  Fnv hash;
+  for (const uint64_t budget : {uint64_t{0}, kPinBudget}) {
+    params.max_distance_evals = budget;
+    for (uint32_t q = 0; q < queries.size(); ++q) {
+      QueryStats stats;
+      hash.Query(index.SearchWith(scratch, queries.Row(q), params, &stats),
+                 stats);
+      hash.Add(stats.quantized_evals);
+      hash.Add(stats.rescore_evals);
+    }
+  }
+  return hash.value();
+}
+
+class ScratchReuseTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ScratchReuseTest, OneScratchServesSmallThenLargeThenSmall) {
+  const TestWorkload small_workload =
+      MakeTestWorkload(300, 16, 1, 6, 18.0f, 5);
+  auto small = CreateAlgorithm(GetParam(), SmallOptions());
+  small->Build(small_workload.workload.base);
+  auto large = CreateAlgorithm(GetParam(), SmallOptions());
+  large->Build(SharedWorkload().workload.base);
+
+  SearchScratch fresh_small, fresh_large;
+  const uint64_t small_trace = TraceWith(*small, fresh_small);
+  const uint64_t large_trace = TraceWith(*large, fresh_large);
+  SearchScratch reused;
+  EXPECT_EQ(TraceWith(*small, reused), small_trace);
+  EXPECT_EQ(TraceWith(*large, reused), large_trace);
+  EXPECT_EQ(TraceWith(*small, reused), small_trace);
+}
+
+INSTANTIATE_TEST_SUITE_P(GraphHnswQuantized, ScratchReuseTest,
+                         ::testing::Values("NSG", "HNSW", "SQ8:HNSW"),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (c == ':') c = '_';
+                           }
+                           return name;
+                         });
+
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, AlgorithmFixture,
                          ::testing::ValuesIn(AlgorithmNames()),
                          [](const auto& info) {

@@ -125,7 +125,7 @@ TEST(BudgetTest, DisconnectedGraphPartialResults) {
   DistanceCounter counter;
   DistanceOracle oracle(base, &counter);
   SearchContext ctx(base.size());
-  ctx.BeginQuery();
+  ctx.BeginQuery(base.size());
   ctx.ArmBudget(/*max_distance_evals=*/2, /*time_budget_us=*/0, &counter);
   CandidatePool pool(100);
   SeedPool({0}, tw.workload.queries.Row(1), oracle, ctx, pool);
@@ -214,7 +214,7 @@ TEST(BudgetTest, VirtualClockExpiryTruncatesImmediately) {
   DistanceCounter counter;
   DistanceOracle oracle(base, &counter);
   SearchContext ctx(base.size());
-  ctx.BeginQuery();
+  ctx.BeginQuery(base.size());
   ctx.ArmBudget(/*max_distance_evals=*/0, /*time_budget_us=*/5, &counter,
                 &clock);
   clock.AdvanceMicros(100);  // deadline (1005) is now in the past

@@ -361,6 +361,40 @@ TEST(VisitedListTest, EpochWrapFullyClearsStaleStamps) {
   EXPECT_FALSE(visited.Visited(3));
 }
 
+TEST(VisitedListTest, GrownSlotsStartUnvisited) {
+  VisitedList visited;  // covers no ids until it grows
+  visited.Grow(4);
+  visited.Reset();
+  for (uint32_t id = 0; id < 4; ++id) visited.MarkVisited(id);
+  visited.Grow(5);  // mid-query: old marks stay, the list at least doubles
+  ASSERT_GE(visited.size(), 8u);
+  for (uint32_t id = 0; id < visited.size(); ++id) {
+    EXPECT_EQ(visited.Visited(id), id < 4) << id;
+  }
+  const uint32_t grown = visited.size();
+  visited.Grow(3);  // never shrinks
+  EXPECT_EQ(visited.size(), grown);
+  visited.Reset();
+  for (uint32_t id = 0; id < visited.size(); ++id) {
+    EXPECT_FALSE(visited.Visited(id)) << id;
+  }
+}
+
+TEST(VisitedListTest, EpochWrapClearCoversGrownSlots) {
+  // A grown slot stamped in epoch 1 collides with the post-wrap epoch 1
+  // exactly like an original slot; the wrap clear must reach it.
+  VisitedList visited(4);
+  visited.Reset();  // epoch 1
+  visited.Grow(16);
+  visited.MarkVisited(12);  // stamp[12] == 1, beyond the original size
+  visited.SetEpochForTesting(UINT32_MAX);
+  visited.Reset();  // wraps -> full clear, epoch restarts at 1
+  EXPECT_EQ(visited.epoch(), 1u);
+  for (uint32_t id = 0; id < visited.size(); ++id) {
+    EXPECT_FALSE(visited.Visited(id)) << id;
+  }
+}
+
 // ---------- Graph ----------
 
 TEST(GraphTest, AddEdgeAndUnique) {

@@ -99,6 +99,28 @@ TEST_F(DynamicHnswTest, SearchWorksMidConstruction) {
   EXPECT_EQ(late.front(), BruteForceNn(workload_.queries.Row(0), 1200));
 }
 
+TEST_F(DynamicHnswTest, ScratchGrowsWhenAddOutrunsIt) {
+  // A scratch that fit the index when it was made keeps serving after Add
+  // grows the index past it, and traces the query like a fresh scratch.
+  HnswIndex index = MakeBuilt(100);
+  SearchScratch scratch(index.size());
+  SearchParams params;
+  params.k = 10;
+  params.pool_size = 60;
+  const float* query = workload_.queries.Row(0);
+  (void)index.SearchWith(scratch, query, params);
+  for (uint32_t i = 100; i < 1200; ++i) index.Add(workload_.base.Row(i));
+  QueryStats reused_stats, fresh_stats;
+  const std::vector<uint32_t> reused =
+      index.SearchWith(scratch, query, params, &reused_stats);
+  SearchScratch fresh(index.size());
+  EXPECT_EQ(reused, index.SearchWith(fresh, query, params, &fresh_stats));
+  EXPECT_EQ(reused_stats.distance_evals, fresh_stats.distance_evals);
+  EXPECT_EQ(reused_stats.hops, fresh_stats.hops);
+  ASSERT_FALSE(reused.empty());
+  EXPECT_EQ(reused.front(), BruteForceNn(query, 1200));
+}
+
 TEST_F(DynamicHnswTest, RemovedIdsNeverReturned) {
   HnswIndex index = MakeBuilt(800);
   SearchParams params;

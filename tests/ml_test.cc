@@ -159,6 +159,37 @@ TEST(Ml2Test, AdaptiveBudgetVariesAcrossQueries) {
   EXPECT_LT(min_ndc, max_ndc);  // per-query adaptivity actually happens
 }
 
+TEST(Ml2Test, SearchSpendStaysWithinTheCallersBudget) {
+  // The probe runs under the caller's budget and the main search gets
+  // only what the probe left, so a query overshoots the budget by at most
+  // one adjacency list (the budget is checked per expansion) plus the two
+  // feature evaluations.
+  const TestWorkload& tw = SharedWorkload();
+  AlgorithmOptions options;
+  EarlyTerminationIndex::Params params;
+  params.train_queries = 60;
+  EarlyTerminationIndex index(CreateHnsw(options), params);
+  index.Build(tw.workload.base);
+  const uint64_t adjacency = options.max_degree;  // HNSW's level-0 bound
+  SearchParams sp;
+  sp.k = 10;
+  sp.pool_size = 100;
+  for (const uint64_t budget : {uint64_t{20}, uint64_t{100}}) {
+    sp.max_distance_evals = budget;
+    uint32_t truncated = 0;
+    for (uint32_t q = 0; q < tw.workload.queries.size(); ++q) {
+      QueryStats stats;
+      const std::vector<uint32_t> ids =
+          index.Search(tw.workload.queries.Row(q), sp, &stats);
+      EXPECT_FALSE(ids.empty());
+      EXPECT_LE(stats.distance_evals, budget + adjacency + 2)
+          << "budget " << budget << ", query " << q;
+      if (stats.truncated) ++truncated;
+    }
+    EXPECT_EQ(truncated, tw.workload.queries.size()) << "budget " << budget;
+  }
+}
+
 // ---------- ML1: learned routing ----------
 
 TEST(Ml1Test, PreprocessingInflatesMemoryAndTime) {

@@ -264,7 +264,7 @@ TEST(PersistenceTest, EveryRegistryAlgorithmRoundTrips) {
       for (const Graph* graph : graphs) {
         DistanceCounter counter;
         DistanceOracle oracle(tw.workload.base, &counter);
-        ctx.BeginQuery();
+        ctx.BeginQuery(original.size());
         CandidatePool pool(30);
         SeedPool(seeds, query, oracle, ctx, pool);
         BestFirstSearch(*graph, query, oracle, ctx, pool);

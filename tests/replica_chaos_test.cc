@@ -625,6 +625,72 @@ TEST(ReplicaChaosTest, ShardedReplicaRepairsDegradedShards) {
   EXPECT_FALSE(out.outcome.stats.degraded);
 }
 
+TEST(ReplicaChaosTest, FallbackShardedReplicaReloadsThenRepairsShards) {
+  // Two faults on one sharded replica: the rotted shard manifest puts it
+  // in brute-force fallback, and a rotted shard file is still on disk when
+  // the manifest is restored. One RepairReplica reloads the manifest and
+  // then rebuilds the shard the reload found degraded.
+  const TestWorkload& tw = SharedWorkload();
+  AlgorithmOptions options;
+  options.knng_degree = 10;
+  options.max_degree = 12;
+  options.build_pool = 40;
+  options.nn_descent_iters = 3;
+  options.num_shards = 3;
+  auto built = CreateAlgorithm("Sharded:HNSW", options);
+  built->Build(tw.workload.base);
+  const std::string prefix = TempPath("repl_fallback_sharded");
+  ASSERT_TRUE(dynamic_cast<ShardedIndex*>(built.get())->Save(prefix).ok());
+
+  const std::string shard_manifest = prefix + ".manifest";
+  ReplicaManifest manifest;
+  StatusOr<uint32_t> crc = FileCrc32c(shard_manifest);
+  ASSERT_TRUE(crc.ok());
+  manifest.replicas.push_back(
+      {shard_manifest, ReplicaManifest::Kind::kShardManifest, *crc});
+  const std::string manifest_path = TempPath("repl_fallback_sharded.wvsrepl");
+  ASSERT_TRUE(SaveReplicaManifest(manifest, manifest_path).ok());
+
+  std::string manifest_bytes, shard_bytes;
+  const std::string shard_path = prefix + ".shard1.wvs";
+  ASSERT_TRUE(ReadFileToString(shard_manifest, &manifest_bytes).ok());
+  ASSERT_TRUE(ReadFileToString(shard_path, &shard_bytes).ok());
+  ASSERT_TRUE(WriteStringToFile(
+                  FlipBit(manifest_bytes, manifest_bytes.size() * 4),
+                  shard_manifest)
+                  .ok());
+  ASSERT_TRUE(
+      WriteStringToFile(FlipBit(shard_bytes, shard_bytes.size() * 4),
+                        shard_path)
+          .ok());
+
+  VirtualClock clock(0);
+  ReplicaSetConfig config;
+  config.dim = tw.workload.base.dim();
+  config.clock = &clock;
+  StatusOr<ReplicaSet::Opened> opened_or = ReplicaSet::FromReplicaManifest(
+      manifest_path, tw.workload.base, config, ReplicaEngineConfig());
+  ASSERT_TRUE(opened_or.ok()) << opened_or.status().ToString();
+  ReplicaSet& set = *opened_or->set;
+  EXPECT_FALSE(opened_or->replica_status[0].ok());
+  ASSERT_TRUE(set.replica(0).fallback_mode());
+
+  // Only the manifest comes back; the shard file stays rotten.
+  ASSERT_TRUE(WriteStringToFile(manifest_bytes, shard_manifest).ok());
+  ASSERT_TRUE(set.RepairReplica(0).ok());
+  EXPECT_FALSE(set.replica(0).fallback_mode());
+  ASSERT_NE(set.replica(0).sharded_index(), nullptr);
+  EXPECT_EQ(set.replica(0).sharded_index()->num_degraded_shards(), 0u);
+  RequestOptions request;
+  request.params.k = 10;
+  request.params.pool_size = 40;
+  const ReplicaBatchResult after = set.ServeBatch(BurstOf(12), request);
+  for (const RoutedOutcome& out : after.outcomes) {
+    ASSERT_TRUE(out.outcome.status.ok()) << out.outcome.status.ToString();
+    EXPECT_FALSE(out.outcome.stats.degraded);
+  }
+}
+
 TEST(ReplicaChaosTest, CorruptReplicaManifestIsFatal) {
   // The replica-set manifest is the root of trust: unlike a rotted replica
   // source, a rotted manifest fails the open outright.

@@ -47,7 +47,7 @@ class RouterTest : public ::testing::Test {
     SearchContext ctx(workload_.base.size());
     double total = 0.0;
     for (uint32_t q = 0; q < workload_.queries.size(); ++q) {
-      ctx.BeginQuery();
+      ctx.BeginQuery(workload_.base.size());
       DistanceOracle oracle(workload_.base, nullptr);
       CandidatePool pool(pool_size);
       SeedPool({0, 100, 200, 300}, workload_.queries.Row(q), oracle, ctx,
@@ -65,7 +65,7 @@ class RouterTest : public ::testing::Test {
 
 TEST_F(RouterTest, SeedPoolEvaluatesAndMarksVisited) {
   SearchContext ctx(workload_.base.size());
-  ctx.BeginQuery();
+  ctx.BeginQuery(workload_.base.size());
   DistanceCounter counter;
   DistanceOracle oracle(workload_.base, &counter);
   CandidatePool pool(10);
@@ -86,7 +86,7 @@ TEST_F(RouterTest, BestFirstSearchReachesHighRecall) {
 
 TEST_F(RouterTest, BestFirstCountsHopsAndDistances) {
   SearchContext ctx(workload_.base.size());
-  ctx.BeginQuery();
+  ctx.BeginQuery(workload_.base.size());
   DistanceCounter counter;
   DistanceOracle oracle(workload_.base, &counter);
   CandidatePool pool(40);
@@ -151,7 +151,7 @@ TEST_F(RouterTest, GuidedSearchCheaperThanBestFirst) {
   SearchContext ctx(workload_.base.size());
   for (uint32_t q = 0; q < workload_.queries.size(); ++q) {
     {
-      ctx.BeginQuery();
+      ctx.BeginQuery(workload_.base.size());
       DistanceCounter counter;
       DistanceOracle oracle(workload_.base, &counter);
       CandidatePool pool(60);
@@ -161,7 +161,7 @@ TEST_F(RouterTest, GuidedSearchCheaperThanBestFirst) {
       guided_ndc += counter.count;
     }
     {
-      ctx.BeginQuery();
+      ctx.BeginQuery(workload_.base.size());
       DistanceCounter counter;
       DistanceOracle oracle(workload_.base, &counter);
       CandidatePool pool(60);
@@ -192,7 +192,7 @@ TEST_F(RouterTest, TwoStageAtLeastAsAccurateAsGuided) {
 TEST_F(RouterTest, RandomSeedProviderYieldsDistinctValidSeeds) {
   RandomSeedProvider provider(workload_.base.size(), 8, 3);
   SearchContext ctx(workload_.base.size());
-  ctx.BeginQuery();
+  ctx.BeginQuery(workload_.base.size());
   DistanceOracle oracle(workload_.base, nullptr);
   CandidatePool pool(16);
   provider.Seed(workload_.queries.Row(0), oracle, ctx, pool);
@@ -204,7 +204,7 @@ TEST_F(RouterTest, FixedSeedProviderAlwaysSame) {
   SearchContext ctx(workload_.base.size());
   DistanceOracle oracle(workload_.base, nullptr);
   for (int round = 0; round < 3; ++round) {
-    ctx.BeginQuery();
+    ctx.BeginQuery(workload_.base.size());
     CandidatePool pool(8);
     provider.Seed(workload_.queries.Row(0), oracle, ctx, pool);
     ASSERT_EQ(pool.size(), 2u);
@@ -231,13 +231,13 @@ TEST_F(RouterTest, TreeSeedProvidersProduceNearbySeeds) {
   for (SeedProvider* provider : providers) {
     double tree_best = 0.0, random_best = 0.0;
     for (uint32_t q = 0; q < workload_.queries.size(); ++q) {
-      ctx.BeginQuery();
+      ctx.BeginQuery(workload_.base.size());
       CandidatePool tree_pool(16);
       provider->Seed(workload_.queries.Row(q), oracle, ctx, tree_pool);
       ASSERT_GT(tree_pool.size(), 0u);
       tree_best += std::sqrt(tree_pool[0].distance);
 
-      ctx.BeginQuery();
+      ctx.BeginQuery(workload_.base.size());
       CandidatePool random_pool(16);
       random_provider.Seed(workload_.queries.Row(q), oracle, ctx,
                            random_pool);
@@ -251,7 +251,7 @@ TEST_F(RouterTest, LshSeedProviderReturnsSeeds) {
   auto table = std::make_shared<LshTable>(workload_.base, LshTable::Params{});
   LshSeedProvider provider(table, 20);
   SearchContext ctx(workload_.base.size());
-  ctx.BeginQuery();
+  ctx.BeginQuery(workload_.base.size());
   DistanceOracle oracle(workload_.base, nullptr);
   CandidatePool pool(32);
   provider.Seed(workload_.queries.Row(0), oracle, ctx, pool);

@@ -69,7 +69,7 @@ TEST(SearchEdgeTest, BestFirstOnEdgelessGraphReturnsSeedsOnly) {
   const auto tw = MakeTestWorkload(50, 4, 2);
   Graph graph(50);  // no edges at all
   SearchContext ctx(50);
-  ctx.BeginQuery();
+  ctx.BeginQuery(50);
   DistanceOracle oracle(tw.workload.base, nullptr);
   CandidatePool pool(10);
   SeedPool({1, 2, 3}, tw.workload.queries.Row(0), oracle, ctx, pool);
@@ -82,7 +82,7 @@ TEST(SearchEdgeTest, RangeSearchZeroEpsilonStillTerminates) {
   const auto tw = MakeTestWorkload(300, 8, 1);
   const Graph knng = BuildExactKnng(tw.workload.base, 8);
   SearchContext ctx(300);
-  ctx.BeginQuery();
+  ctx.BeginQuery(300);
   DistanceOracle oracle(tw.workload.base, nullptr);
   CandidatePool pool(20);
   SeedPool({0, 100, 200}, tw.workload.queries.Row(0), oracle, ctx, pool);
