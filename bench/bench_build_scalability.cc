@@ -5,17 +5,24 @@
 // paper's Fig. 5/6 construction axis, scaled toward 1M synthetic points
 // via WEAVESS_SCALE) and *verifies* that adjacency, distance evaluations,
 // and recall are unchanged against the 1-thread oracle build. Emits one
-// JSON line per build plus an environment line:
+// JSON line per build, one per standalone NN-Descent run, plus an
+// environment line:
 //
-//   {"bench":"build_env","threads_available":H,"scale":S}
+//   {"bench":"build_env","threads_available":H,"kernel_level":K,"scale":S}
 //   {"bench":"build","algo":A,"n":N,"dim":D,"threads":T,"seconds":S,
 //    "distance_evals":E,"speedup":X,"recall":R,"identical":true}
+//   {"bench":"nn_descent","n":N,"threads":T,"seconds":S,
+//    "distance_evals":E,"peak_staged":P}
 //
 // "identical" compares the full adjacency against the same-cardinality
 // 1-thread build; "speedup" is that build's seconds / this build's
 // seconds. On a machine with fewer hardware threads than the ladder the
 // timings honestly flatten near 1.0x — threads_available records the
 // context so downstream checks can gate speedup assertions on it.
+// The nn_descent rows time NnDescent alone, with KGraph's parameters: the
+// C1 layer under KGraph, NSG, NSSG, DPG, OA and EFANNA. "peak_staged" is
+// NnDescent::peak_staged(), the most triples one join block kept; like
+// distance_evals it does not depend on the thread count.
 //
 // Knobs beyond bench_common.h: WEAVESS_BUILD_THREADS (comma-separated
 // ladder, default 1,2,4,8).
@@ -27,8 +34,11 @@
 #include <thread>
 #include <vector>
 
+#include "algorithms/kgraph.h"
 #include "bench_common.h"
+#include "core/distance.h"
 #include "core/timer.h"
+#include "graph/nn_descent.h"
 
 namespace weavess::bench {
 namespace {
@@ -55,16 +65,60 @@ bool SameGraph(const Graph& a, const Graph& b) {
   return true;
 }
 
+AlgorithmOptions BuildOptions() {
+  AlgorithmOptions options;
+  options.knng_degree = 20;
+  options.max_degree = 20;
+  options.build_pool = 60;
+  options.nn_descent_iters = 6;
+  return options;
+}
+
+Workload TierWorkload(uint32_t n) {
+  SyntheticSpec spec;
+  spec.num_base = std::max(n, 64u);
+  spec.dim = 24;
+  spec.num_queries = 50;
+  spec.num_clusters = 16;
+  spec.seed = 42;
+  return GenerateSynthetic(spec, "build-scale");
+}
+
+// Standalone NN-Descent with KGraph's parameters, one row per thread count.
+void RunNnDescent(const Dataset& base,
+                  const std::vector<uint32_t>& threads_ladder) {
+  const AlgorithmOptions options = BuildOptions();
+  for (const uint32_t threads : threads_ladder) {
+    NnDescentParams params = KGraphConfig(options).nn_descent;
+    params.seed = options.seed;
+    params.num_threads = threads;
+    DistanceCounter counter;
+    Timer timer;
+    NnDescent descent(base, params, &counter);
+    descent.InitRandom();
+    descent.Run();
+    const double seconds = timer.Seconds();
+    std::printf(
+        "{\"bench\":\"nn_descent\",\"n\":%u,\"threads\":%u,"
+        "\"seconds\":%.3f,\"distance_evals\":%llu,\"peak_staged\":%llu}\n",
+        base.size(), threads, seconds,
+        static_cast<unsigned long long>(counter.count),
+        static_cast<unsigned long long>(descent.peak_staged()));
+    std::fflush(stdout);
+  }
+}
+
 void Run() {
   Banner("Build scalability: threads x cardinality, determinism verified",
-         "Parallel NN-Descent joins and HNSW batch insertion on the shared "
-         "ThreadPool; every build is checked bit-identical to the 1-thread "
-         "oracle (docs/CONCURRENCY.md).");
+         "Parallel NN-Descent joins, the NSG and Vamana pipelines and HNSW "
+         "batch insertion on the shared ThreadPool; every build is checked "
+         "bit-identical to the 1-thread oracle (docs/CONCURRENCY.md).");
   const double scale = EnvScale();
   const uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
   std::printf(
-      "{\"bench\":\"build_env\",\"threads_available\":%u,\"scale\":%.2f}\n",
-      hw, scale);
+      "{\"bench\":\"build_env\",\"threads_available\":%u,"
+      "\"kernel_level\":\"%s\",\"scale\":%.2f}\n",
+      hw, KernelLevelName(ActiveKernelLevel()), scale);
   std::fflush(stdout);
 
   // Cardinality tiers of the construction-scalability sweep. At scale 1
@@ -76,25 +130,21 @@ void Run() {
   };
   const std::vector<uint32_t> threads_ladder = ThreadLadder();
 
-  // KGraph exercises the staged NN-Descent joins; HNSW exercises batched
-  // prefix-doubling insertion — the two parallel construction substrates.
-  for (const std::string& algo : SelectedAlgorithms({"KGraph", "HNSW"})) {
+  // KGraph exercises the staged NN-Descent joins and HNSW batched
+  // prefix-doubling insertion, the two parallel construction substrates.
+  // NSG adds its parallel selection pass and serial connectivity repair to
+  // NN-Descent. Vamana's in-place refinement is still serial, and with no
+  // connectivity repair its graph fragments on these 16 clusters, so its
+  // recall is low (the paper's Table 4 finding; algorithms_test's
+  // ConnectivityFinding).
+  for (const std::string& algo :
+       SelectedAlgorithms({"KGraph", "HNSW", "NSG", "Vamana"})) {
     for (const uint32_t n : tiers) {
-      SyntheticSpec spec;
-      spec.num_base = std::max(n, 64u);
-      spec.dim = 24;
-      spec.num_queries = 50;
-      spec.num_clusters = 16;
-      spec.seed = 42;
-      const Workload workload = GenerateSynthetic(spec, "build-scale");
+      const Workload workload = TierWorkload(n);
       const GroundTruth truth = ComputeGroundTruth(
           workload.base, workload.queries, kRecallAtK, hw);
 
-      AlgorithmOptions options;
-      options.knng_degree = 20;
-      options.max_degree = 20;
-      options.build_pool = 60;
-      options.nn_descent_iters = 6;
+      AlgorithmOptions options = BuildOptions();
 
       std::unique_ptr<AnnIndex> oracle;  // the 1-thread reference build
       double oracle_seconds = 0.0;
@@ -140,6 +190,9 @@ void Run() {
         if (oracle == nullptr) oracle = std::move(index);
       }
     }
+  }
+  for (const uint32_t n : tiers) {
+    RunNnDescent(TierWorkload(n).base, threads_ladder);
   }
 }
 

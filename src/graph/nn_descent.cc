@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "core/parallel.h"
@@ -101,10 +102,46 @@ void NnDescent::InitFromGraph(const Graph& initial) {
   }
 }
 
+// Staging shared by one Run's joins: allocated once, so workers stop
+// re-growing buffers every round.
+struct NnDescent::JoinStaging {
+  JoinStaging(uint32_t n, uint32_t worker_count)
+      : workers(worker_count),
+        stripes(std::min(worker_count, n)),
+        stripe_width((n + stripes - 1) / stripes),
+        triples(new StagedCandidate[kStagingBudget]),
+        worst(n),
+        scratch(worker_count) {
+    for (Worker& w : scratch) w.by_stripe.resize(stripes);
+  }
+
+  const uint32_t workers;
+  const uint32_t stripes;
+  const uint32_t stripe_width;
+  // Kept triples of the current block. Block pivot j owns the slice that
+  // starts at the sum of its predecessors' worst cases; with c = j *
+  // (stripes + 1), its stripe-s triples span [cuts[c + s], cuts[c + s + 1]).
+  uint64_t capacity = kStagingBudget;
+  std::unique_ptr<StagedCandidate[]> triples;
+  std::vector<uint32_t> pivots;  // the current block, ascending
+  std::vector<uint64_t> cuts;
+  std::vector<float> worst;  // frozen admission bounds, see Join
+  // Workers append to their own buckets concurrently, so each worker and
+  // each bucket's header sits on its own cache line.
+  struct alignas(64) Bucket {
+    std::vector<StagedCandidate> kept;
+  };
+  struct alignas(64) Worker {
+    std::vector<uint32_t> jn, jo;
+    std::vector<Bucket> by_stripe;
+  };
+  std::vector<Worker> scratch;
+};
+
 uint32_t NnDescent::Run() {
   const uint32_t n = data_->size();
   Rng rng(params_.seed ^ 0xdecafULL);
-  const uint32_t workers = std::max(1u, params_.num_threads);
+  JoinStaging staging(n, std::max(1u, params_.num_threads));
   std::vector<std::vector<uint32_t>> new_lists(n), old_lists(n);
   std::vector<std::vector<uint32_t>> reverse_new(n), reverse_old(n);
 
@@ -151,7 +188,7 @@ uint32_t NnDescent::Run() {
     }
     // --- Local join: new x new and new x old around every vertex. ---
     const uint64_t updates =
-        Join(new_lists, old_lists, reverse_new, reverse_old, workers);
+        Join(new_lists, old_lists, reverse_new, reverse_old, staging);
     if (updates < params_.delta * static_cast<double>(n) * params_.k) break;
   }
   return iterations_run;
@@ -161,25 +198,19 @@ uint64_t NnDescent::Join(const std::vector<std::vector<uint32_t>>& new_lists,
                          const std::vector<std::vector<uint32_t>>& old_lists,
                          const std::vector<std::vector<uint32_t>>& rev_new,
                          const std::vector<std::vector<uint32_t>>& rev_old,
-                         uint32_t workers) {
+                         JoinStaging& st) {
   // Equivalence argument (pinned in graph_construction_test.cc): the
   // sequential join visits pivots in id order and, per pivot, emits
   // InsertIntoPool calls in a fixed pair order. Each call reads and writes
   // only the target's pool, so the final pool state is fully determined by
   // the per-pool call sequence. Here workers stage each pivot's (target,
-  // id, distance) triples — pure functions of the frozen join lists — into
-  // one vector per target stripe, and each stripe replays its pivots in
+  // id, distance) triples — pure functions of the frozen join lists —
+  // grouped by target stripe, and each stripe replays its pivots in
   // order, so every pool sees the sequential call sequence. Triples that
   // the replay would reject are dropped at stage time (see `worst`).
   const uint32_t n = data_->size();
-  constexpr uint32_t kJoinBlock = 1024;
-  const uint32_t stripes = std::min(workers, n);
-  const uint32_t stripe_width = (n + stripes - 1) / stripes;
-  WorkerDistanceCounters counters(workers);
-  std::vector<std::vector<uint32_t>> join_new(workers), join_old(workers);
-  // staged[(pivot - block_begin) * stripes + stripe]
-  std::vector<std::vector<StagedCandidate>> staged(
-      static_cast<size_t>(std::min(n, kJoinBlock)) * stripes);
+  const uint32_t stripes = st.stripes;
+  WorkerDistanceCounters counters(st.workers);
   std::vector<uint64_t> stripe_updates(stripes, 0);
 
   // Admission bound per target, frozen while a block stages: the worst
@@ -195,27 +226,53 @@ uint64_t NnDescent::Join(const std::vector<std::vector<uint32_t>>& new_lists,
                ? pool.back().distance
                : std::numeric_limits<float>::quiet_NaN();
   };
-  std::vector<float> worst(n);
+  std::vector<float>& worst = st.worst;
   for (uint32_t t = 0; t < n; ++t) worst[t] = bound(t);
 
-  for (uint32_t block_begin = 0; block_begin < n;
-       block_begin += kJoinBlock) {
-    const uint32_t block_end = std::min(n, block_begin + kJoinBlock);
-    // Stage: every join pair around pivots [block_begin, block_end), in
-    // the sequential visit order. Distance-heavy; parallel over pivots.
+  // Triples pivot i can stage at most: one per direction of every pair.
+  auto worst_case = [&](uint32_t i) -> uint64_t {
+    const uint64_t jn = new_lists[i].size() + rev_new[i].size();
+    const uint64_t jo = old_lists[i].size() + rev_old[i].size();
+    return jn == 0 ? 0 : jn * (jn - 1) + 2 * jn * jo;
+  };
+
+  for (uint32_t next = 0; next < n;) {
+    // Take pivots while their worst cases fit the budget (at least one).
+    st.pivots.clear();
+    st.cuts.clear();
+    uint64_t block_worst = 0;
+    for (; next < n; ++next) {
+      const uint64_t cost = worst_case(next);
+      if (cost == 0) continue;  // no new entry: joins no pair
+      if (!st.pivots.empty() && block_worst + cost > kStagingBudget) break;
+      st.pivots.push_back(next);
+      st.cuts.push_back(block_worst);
+      st.cuts.resize(st.cuts.size() + stripes);
+      block_worst += cost;
+    }
+    if (st.pivots.empty()) break;
+    if (block_worst > st.capacity) {  // one pivot alone exceeds the budget
+      st.triples.reset(new StagedCandidate[block_worst]);
+      st.capacity = block_worst;
+    }
+    // Stage: every join pair around the block's pivots, in the sequential
+    // visit order. Distance-heavy; parallel over pivots.
     ParallelForWithWorker(
-        block_begin, block_end, workers, [&](uint32_t i, uint32_t worker) {
+        0, static_cast<uint32_t>(st.pivots.size()), st.workers,
+        [&](uint32_t j, uint32_t worker) {
+          const uint32_t i = st.pivots[j];
           DistanceOracle oracle(*data_, &counters.of(worker));
-          auto* out = &staged[static_cast<size_t>(i - block_begin) * stripes];
-          for (uint32_t s = 0; s < stripes; ++s) out[s].clear();
+          JoinStaging::Worker& w = st.scratch[worker];
+          for (JoinStaging::Bucket& out : w.by_stripe) out.kept.clear();
           auto stage = [&](uint32_t target, uint32_t id, float dist) {
             if (dist >= worst[target]) return;
-            out[target / stripe_width].push_back({target, id, dist});
+            w.by_stripe[target / st.stripe_width].kept.push_back(
+                {target, id, dist});
           };
-          auto& jn = join_new[worker];
+          auto& jn = w.jn;
           jn.assign(new_lists[i].begin(), new_lists[i].end());
           jn.insert(jn.end(), rev_new[i].begin(), rev_new[i].end());
-          auto& jo = join_old[worker];
+          auto& jo = w.jo;
           jo.assign(old_lists[i].begin(), old_lists[i].end());
           jo.insert(jo.end(), rev_old[i].begin(), rev_old[i].end());
           for (size_t a = 0; a < jn.size(); ++a) {
@@ -234,14 +291,27 @@ uint64_t NnDescent::Join(const std::vector<std::vector<uint32_t>>& new_lists,
               stage(v, u, dist);
             }
           }
+          uint64_t* cut = &st.cuts[static_cast<size_t>(j) * (stripes + 1)];
+          for (uint32_t s = 0; s < stripes; ++s) {
+            const auto& kept = w.by_stripe[s].kept;
+            std::copy(kept.begin(), kept.end(), st.triples.get() + cut[s]);
+            cut[s + 1] = cut[s] + kept.size();
+          }
         });
+    uint64_t kept = 0;
+    for (size_t j = 0; j < st.pivots.size(); ++j) {
+      kept += st.cuts[(j + 1) * (stripes + 1) - 1] -
+              st.cuts[j * (stripes + 1)];
+    }
+    peak_staged_ = std::max(peak_staged_, kept);
     // Replay: stripes own disjoint pools and bounds, so they commit in
     // parallel; each replays its pivots in block order.
-    ParallelFor(0, stripes, workers, [&](uint32_t s) {
+    ParallelFor(0, stripes, st.workers, [&](uint32_t s) {
       uint64_t local = 0;
-      for (uint32_t p = 0; p < block_end - block_begin; ++p) {
-        for (const StagedCandidate& c :
-             staged[static_cast<size_t>(p) * stripes + s]) {
+      for (size_t j = 0; j < st.pivots.size(); ++j) {
+        const uint64_t* cut = &st.cuts[j * (stripes + 1)];
+        for (uint64_t at = cut[s]; at < cut[s + 1]; ++at) {
+          const StagedCandidate& c = st.triples[at];
           if (!InsertIntoPool(c.target, c.id, c.distance)) continue;
           ++local;
           worst[c.target] = bound(c.target);

@@ -54,24 +54,34 @@ class NnDescent {
 
   /// Runs refinement rounds; returns the number executed (may stop early).
   ///
-  /// Each round's local join runs on one path at every thread count.
-  /// Pivots are taken in blocks of 1024; within a block, workers (up to
-  /// params.num_threads on the shared ThreadPool) compute each pivot's
+  /// Each round's local join runs on one path at every thread count, one
+  /// block of pivots at a time. A block takes pivots in id order while the
+  /// sum of their worst-case triple counts stays within kStagingBudget; a
+  /// pivot's worst case is 2·(C(|jn|,2) + |jn|·|jo|) over its new and old
+  /// join lists, every block takes at least one pivot, and a pivot with no
+  /// new entries joins nothing and is skipped. Within a block, workers (up
+  /// to params.num_threads on the shared ThreadPool) compute each pivot's
   /// join pairs and stage (target, candidate, distance) triples instead of
   /// mutating pools. A triple is dropped at stage time when its distance
   /// is >= the target's admission bound, frozen at the block start: the
   /// worst distance of a full pool, or NaN for a pool with room (NaN makes
   /// the test false for every distance). A full pool stays full and its
   /// worst distance only shrinks, so every dropped triple is one the
-  /// insertion would have rejected. Kept triples go into one vector per
-  /// target stripe (a contiguous id range per worker), and each stripe
-  /// replays its pivots in block order. Because InsertIntoPool's
-  /// accept/reject decision depends only on the target pool's own state,
-  /// every pool sees exactly the sequential insertion sequence: refined
-  /// pools, the distance-evaluation count and the round count are
-  /// bit-for-bit identical at any thread count. NnDescentPinTest pins
-  /// them against values recorded from the original in-place sequential
-  /// join (docs/CONCURRENCY.md).
+  /// insertion would have rejected, whichever block boundary froze the
+  /// bound: where the blocks fall changes no pool. Kept triples go into
+  /// the pivot's slice of one flat buffer, grouped by target stripe (a
+  /// contiguous id range per worker), and each stripe replays its pivots
+  /// in block order. Because InsertIntoPool's accept/reject decision
+  /// depends only on the target pool's own state, every pool sees exactly
+  /// the sequential insertion sequence: refined pools, the
+  /// distance-evaluation count and the round count are bit-for-bit
+  /// identical at any thread count. NnDescentPinTest pins them against
+  /// values recorded from the original in-place sequential join
+  /// (docs/CONCURRENCY.md).
+  ///
+  /// The flat buffer holds kStagingBudget triples whatever n, the pool
+  /// size, S or R (more only when one pivot's worst case alone exceeds
+  /// it), and it and the per-worker scratch are allocated once per Run.
   uint32_t Run();
 
   /// Extracts the directed KNNG: each vertex's closest `k` pool entries in
@@ -82,6 +92,14 @@ class NnDescent {
   /// algorithms that select neighbors directly from the candidate pools.
   const std::vector<std::vector<Neighbor>>& pools() const { return pools_; }
 
+  /// Staging budget of one join block, in triples (640 Ki, 7.5 MiB).
+  static constexpr uint64_t kStagingBudget = 640 * 1024;
+
+  /// The most triples any one join block kept at stage time, over every
+  /// Run so far. Block boundaries and the frozen bounds do not depend on
+  /// the thread count, so neither does this count.
+  uint64_t peak_staged() const { return peak_staged_; }
+
  private:
   // One staged join product: candidate `id` at `distance` destined for
   // pools_[target].
@@ -90,25 +108,28 @@ class NnDescent {
     uint32_t id;
     float distance;
   };
+  // Buffers one Run's local joins share (nn_descent.cc).
+  struct JoinStaging;
 
   // Inserts into pools_[node] keeping it sorted/bounded; returns true if
   // the pool changed. `Neighbor::checked == false` marks "new" entries.
   bool InsertIntoPool(uint32_t node, uint32_t id, float distance);
 
-  // One round's local join over every pivot vertex, staged across
-  // `workers` threads and replayed per target stripe (see Run). Returns
-  // the number of pool updates.
+  // One round's local join over every pivot vertex, staged in `staging`
+  // and replayed per target stripe (see Run). Returns the number of pool
+  // updates.
   uint64_t Join(const std::vector<std::vector<uint32_t>>& new_lists,
                 const std::vector<std::vector<uint32_t>>& old_lists,
                 const std::vector<std::vector<uint32_t>>& rev_new,
                 const std::vector<std::vector<uint32_t>>& rev_old,
-                uint32_t workers);
+                JoinStaging& staging);
 
   const Dataset* data_;
   NnDescentParams params_;
   DistanceCounter* counter_;
   uint32_t pool_capacity_;
   std::vector<std::vector<Neighbor>> pools_;
+  uint64_t peak_staged_ = 0;
 };
 
 }  // namespace weavess

@@ -7,9 +7,11 @@
 // code runs on the build-time Graph (vector-of-vectors) and on the
 // search-time CsrGraph / AlignedGraph flat layouts (core/flat_graph.h,
 // Appendix I). The hot loop is cache-conscious: each expansion gathers the
-// unvisited neighbors, evaluates them with one batched kernel call (which
-// software-prefetches upcoming vector rows), and prefetches the adjacency
-// block of the best new candidate — the likeliest next expansion. Batched
+// unvisited neighbors, evaluates them with one ToQueryBatch call, and
+// prefetches the adjacency block of the best new candidate — the likeliest
+// next expansion. The float and SQ8 oracles' ToQueryBatch is one batched
+// kernel call that software-prefetches upcoming rows; HNSW's RowOracle
+// evaluates its paged rows one at a time, without prefetch. Batched
 // evaluation is bit-for-bit identical to the per-neighbor form
 // (docs/KERNELS.md), so routing order, recall, and NDC never depend on it.
 #ifndef WEAVESS_SEARCH_ROUTER_H_

@@ -79,6 +79,21 @@ def mismatched_build(field, value):
     return mutate
 
 
+def mismatched_nn_descent(field, value):
+    def mutate(rows):
+        rung = next(r for r in kind(rows, "nn_descent") if r["threads"] == 2)
+        rung[field] = value
+    return mutate
+
+
+def not_identical(algo):
+    def mutate(rows):
+        rung = next(r for r in kind(rows, "build")
+                    if r["algo"] == algo and r["threads"] == 2)
+        rung["identical"] = False
+    return mutate
+
+
 def drop_counters(prefix):
     def mutate(rows):
         for row in kind(rows, "sharding_metrics"):
@@ -142,6 +157,25 @@ NEGATIVE_MATRIX = [
     ("snapshot not identical", "build",
      None, set_field("build", "identical", False, 1), "not identical"),
     ("4-thread speedup floor", "build", None, weak_speedup, "speedup below 1.5x"),
+    ("NSG build not identical", "build",
+     not_identical("NSG"), None, "not identical"),
+    ("Vamana build not identical", "build",
+     not_identical("Vamana"), None, "not identical"),
+    ("dropped NSG rung", "build",
+     drop_rows(lambda r: r.get("algo") == "NSG" and r["threads"] == 4),
+     None, "sweep points"),
+    ("nn_descent evals vary", "build",
+     mismatched_nn_descent("distance_evals", 1), None,
+     "nn_descent evals/staging vary"),
+    ("nn_descent staging varies", "build",
+     mismatched_nn_descent("peak_staged", 1), None,
+     "nn_descent evals/staging vary"),
+    ("snapshot nn_descent staging varies", "build",
+     None, mismatched_nn_descent("peak_staged", 1),
+     "nn_descent evals/staging vary"),
+    ("dropped nn_descent rung", "build",
+     drop_rows(lambda r: r["bench"] == "nn_descent" and r["threads"] == 8),
+     None, "sweep points"),
     ("metrics version", "mutation",
      lambda rows: kind(rows, "mutation_metrics")[0]["snapshot"].update(
          snapshot_version=2), None, "version"),
@@ -207,6 +241,16 @@ class CheckBenchTest(unittest.TestCase):
         for threads in (4, 8):
             self.assertIn(f"{threads}-thread speedup floor UNARMED "
                           "(threads_available=2)", result.stdout)
+
+    def test_serial_build_floor_is_unarmed(self):
+        rows = read_rows("build")
+        for row in kind(rows, "build"):
+            if row["algo"] == "Vamana":
+                row["speedup"] = 1.0
+        result = self.run_checker(rows, rows)
+        self.assertEqual(result.returncode, 0, result.stdout)
+        self.assertIn("Vamana 4-thread speedup floor UNARMED "
+                      "(its in-place refinement is serial)", result.stdout)
 
     def test_negative_matrix_is_rejected(self):
         for case, name, mutate_run, mutate_snapshot, message in NEGATIVE_MATRIX:

@@ -261,8 +261,12 @@ TEST(NnDescentTest, PoolsSortedWithoutDuplicates) {
 // (ids, distance bits, and the new/old flag), the distance-evaluation
 // count, and the round count Run() returns. The expected values were
 // recorded from the original in-place single-threaded join; every thread
-// count must reproduce them. Inputs span several join blocks, so block
-// boundaries (where the stage-time admission bounds refresh) are crossed.
+// count must reproduce them, 3 included, whose stripes and worker ranges
+// split unevenly. Blocks are cut by NnDescent::kStagingBudget, and the
+// three large inputs span several blocks per round: "random" three in
+// rounds 1-5 and one in round 6, "duplicates" three in every round,
+// "overflow" one or two. So block boundaries, where the stage-time
+// admission bounds refresh, are crossed; "n_near_k" fits in one block.
 struct PinCase {
   const char* name;
   Dataset data;
@@ -358,7 +362,7 @@ std::vector<PinCase> NnDescentPinCases() {
 
 TEST(NnDescentPinTest, PoolsEvalsAndRoundsMatchSequentialReference) {
   for (PinCase& c : NnDescentPinCases()) {
-    for (const uint32_t threads : {1u, 2u, 8u}) {
+    for (const uint32_t threads : {1u, 2u, 3u, 8u}) {
       c.params.num_threads = threads;
       DistanceCounter counter;
       NnDescent descent(c.data, c.params, &counter);
@@ -373,6 +377,71 @@ TEST(NnDescentPinTest, PoolsEvalsAndRoundsMatchSequentialReference) {
       EXPECT_EQ(counter.count, c.evals)
           << c.name << " at " << threads << " threads";
       EXPECT_EQ(rounds, c.rounds) << c.name << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST(NnDescentTest, StagingStaysWithinBudgetAtEveryThreadCount) {
+  // NSG's NN-Descent shape (k 25, pool 55, S = R = 10): a pivot stages at
+  // most about 2,580 triples, so each early round spans a dozen blocks.
+  // The most triples one block kept depends only on the block boundaries
+  // and the frozen admission bounds, neither of which sees the thread
+  // count.
+  const Dataset data = SmallData(3000, 16);
+  uint64_t reference_hash = 0;
+  uint64_t reference_staged = 0;
+  for (const uint32_t threads : {1u, 2u, 3u, 8u}) {
+    NnDescentParams params;
+    params.k = 25;
+    params.pool_size = 55;
+    params.sample_size = 10;
+    params.reverse_sample = 10;
+    params.iterations = 4;
+    params.num_threads = threads;
+    NnDescent descent(data, params);
+    descent.InitRandom();
+    descent.Run();
+    const uint64_t hash = HashPools(descent.pools());
+    EXPECT_GT(descent.peak_staged(), 0u);
+    EXPECT_LE(descent.peak_staged(), NnDescent::kStagingBudget);
+    if (threads == 1) {
+      reference_hash = hash;
+      reference_staged = descent.peak_staged();
+      continue;
+    }
+    EXPECT_EQ(descent.peak_staged(), reference_staged)
+        << threads << " threads";
+    EXPECT_EQ(hash, reference_hash) << threads << " threads";
+  }
+}
+
+TEST(NnDescentTest, PivotOverBudgetStagesAloneAtEveryThreadCount) {
+  // Every vertex starts with vertex 0 in its pool and R admits all of
+  // them, so pivot 0 joins ~1,200 new entries: a worst case of ~1.4 M
+  // triples, more than kStagingBudget. Its block holds it alone, the
+  // staging buffer grows to fit, and pools stay small enough to keep
+  // every triple.
+  const Dataset data = SmallData(1200, 2);
+  Graph star(data.size());
+  for (uint32_t v = 1; v < data.size(); ++v) star.MutableNeighbors(v) = {0};
+  uint64_t reference_hash = 0;
+  for (const uint32_t threads : {1u, 3u}) {
+    NnDescentParams params;
+    params.k = 2;
+    params.pool_size = 4;
+    params.sample_size = 4;
+    params.reverse_sample = 2000;
+    params.iterations = 1;
+    params.num_threads = threads;
+    NnDescent descent(data, params);
+    descent.InitFromGraph(star);
+    descent.Run();
+    EXPECT_GT(descent.peak_staged(), NnDescent::kStagingBudget);
+    const uint64_t hash = HashPools(descent.pools());
+    if (threads == 1) {
+      reference_hash = hash;
+    } else {
+      EXPECT_EQ(hash, reference_hash) << threads << " threads";
     }
   }
 }

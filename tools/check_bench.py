@@ -22,6 +22,7 @@ SWEEP_KEYS = {
     "quant": ("algo", "variant", "rescore_factor", "pool"),
     "mutation": ("algo", "mutation_qps"),
     "build": ("algo", "threads"),
+    "nn_descent": ("threads",),
 }
 # Counter family each observability-snapshot row kind must report.
 METRICS_FAMILIES = {"sharding_metrics": "shard.", "replication_metrics": "replica.",
@@ -30,6 +31,8 @@ METRICS_FAMILIES = {"sharding_metrics": "shard.", "replication_metrics": "replic
 # neon) are required only when the run reaches them.
 REQUIRED_LEVELS = {"scalar", "avx2"}
 DEFAULT_RESCORE_FACTOR = 4  # SearchParams::rescore_factor default
+# Builds with no parallel stage to speed up; their speedup floors are unarmed.
+SERIAL_BUILDS = {"Vamana": "its in-place refinement is serial"}
 
 failures = []
 
@@ -151,14 +154,22 @@ def check_quant(snap, run):
 def check_build(snap, run):
     if "build" not in snap:
         return
-    for where, rows in (("snapshot", snap["build"]), ("run", run["build"])):
+    for where, kinds in (("snapshot", snap), ("run", run)):
         groups = {}
-        for r in rows:
+        for r in kinds["build"]:
             check(r["identical"] is True, f"{where} build not identical: {r}")
             groups.setdefault((r["algo"], r["n"]), []).append(r)
         for key, group in groups.items():
             check(len({(r["distance_evals"], r["recall"]) for r in group}) == 1,
                   f"{where} evals/recall vary across threads: {key} {group}")
+        groups = {}
+        for r in kinds.get("nn_descent", []):
+            groups.setdefault(r["n"], []).append(r)
+        for n, group in groups.items():
+            check(len({(r["distance_evals"], r["peak_staged"])
+                       for r in group}) == 1,
+                  f"{where} nn_descent evals/staging vary across threads at "
+                  f"n={n}: {group}")
     available = snap["build_env"][0]["threads_available"]
     rows = snap["build"]
     for threads, floor in ((4, 1.5), (8, 2.0)):
@@ -167,6 +178,10 @@ def check_build(snap, run):
                   f"(threads_available={available})")
             continue
         for algo in sorted({r["algo"] for r in rows}):
+            if algo in SERIAL_BUILDS:
+                print(f"{algo} {threads}-thread speedup floor UNARMED "
+                      f"({SERIAL_BUILDS[algo]})")
+                continue
             top = max(r["n"] for r in rows if r["algo"] == algo)
             rung = [r for r in rows if r["algo"] == algo and r["n"] == top
                     and r["threads"] == threads]
