@@ -262,11 +262,10 @@ TEST(NnDescentTest, PoolsSortedWithoutDuplicates) {
 // count, and the round count Run() returns. The expected values were
 // recorded from the original in-place single-threaded join; every thread
 // count must reproduce them, 3 included, whose stripes and worker ranges
-// split unevenly. Blocks are cut by NnDescent::kStagingBudget, and the
-// three large inputs span several blocks per round: "random" three in
-// rounds 1-5 and one in round 6, "duplicates" three in every round,
-// "overflow" one or two. So block boundaries, where the stage-time
-// admission bounds refresh, are crossed; "n_near_k" fits in one block.
+// split unevenly. Blocks are cut by NnDescent::kStagingBudget: "random"
+// spans three blocks in rounds 1-5 and one in round 6, "duplicates" three
+// in every round, "overflow" one or two, and "n_near_k" one. So block
+// boundaries, where the stage-time admission bounds refresh, are crossed.
 struct PinCase {
   const char* name;
   Dataset data;
