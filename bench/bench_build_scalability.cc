@@ -57,14 +57,6 @@ std::vector<uint32_t> ThreadLadder() {
   return ladder;
 }
 
-bool SameGraph(const Graph& a, const Graph& b) {
-  if (a.size() != b.size()) return false;
-  for (uint32_t v = 0; v < a.size(); ++v) {
-    if (a.Neighbors(v) != b.Neighbors(v)) return false;
-  }
-  return true;
-}
-
 AlgorithmOptions BuildOptions() {
   AlgorithmOptions options;
   options.knng_degree = 20;
@@ -168,9 +160,8 @@ void Run() {
           }
         }
         const AnnIndex& reference = oracle != nullptr ? *oracle : *index;
-        const bool identical =
-            &reference == index.get() ||
-            SameGraph(index->graph(), reference.graph());
+        const bool identical = &reference == index.get() ||
+                               index->graph() == reference.graph();
         SearchParams params;
         params.k = kRecallAtK;
         params.pool_size = kRecallPool;

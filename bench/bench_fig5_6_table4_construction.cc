@@ -33,7 +33,7 @@ void Run() {
 
   for (const std::string& dataset_name : SelectedDatasets()) {
     const Workload workload = MakeStandIn(dataset_name, scale);
-    const Graph exact = BuildExactKnng(workload.base, kGqReferenceK);
+    const CsrGraph exact(BuildExactKnng(workload.base, kGqReferenceK));
     for (const std::string& algorithm : SelectedAlgorithms()) {
       std::unique_ptr<AnnIndex> index =
           CreateAlgorithm(algorithm, DefaultOptions());

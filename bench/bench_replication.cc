@@ -77,7 +77,7 @@ class FaultyIndex final : public AnnIndex {
     return inner_.SearchWith(scratch, query, params, stats);
   }
 
-  const Graph& graph() const override { return inner_.graph(); }
+  const CsrGraph& graph() const override { return inner_.graph(); }
   size_t IndexMemoryBytes() const override {
     return inner_.IndexMemoryBytes();
   }

@@ -35,7 +35,7 @@ void Run() {
     const Workload workload = MakeStandIn(dataset_name, scale);
     const GroundTruth truth =
         ComputeGroundTruth(workload.base, workload.queries, kRecallAtK);
-    const Graph exact = BuildExactKnng(workload.base, 10);
+    const CsrGraph exact(BuildExactKnng(workload.base, 10));
     for (const std::string& algorithm : algorithms) {
       std::unique_ptr<AnnIndex> index =
           CreateAlgorithm(algorithm, DefaultOptions());

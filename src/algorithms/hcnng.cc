@@ -104,7 +104,7 @@ void HcnngIndex::Build(const Dataset& data) {
   auto forest = std::make_shared<KdForest>(data, params_.num_seed_trees,
                                            /*leaf_size=*/16,
                                            params_.seed ^ 0x8c99ULL);
-  FinishBuild(std::move(graph),
+  FinishBuild(CsrGraph(graph),
               std::make_unique<KdLeafSeedProvider>(std::move(forest),
                                                    params_.max_seeds),
               RoutingKind::kGuided, {timer.Seconds(), counter.count});

@@ -303,11 +303,17 @@ void HnswIndex::BeginBuild(const Dataset& data) {
 }
 
 void HnswIndex::EndBuild(double seconds) {
-  base_layer_ = Graph(num_points_);
+  std::vector<uint64_t> offsets(1, 0);
+  for (uint32_t v = 0; v < num_points_; ++v) {
+    offsets.push_back(offsets.back() + Links(v, 0).size());
+  }
+  std::vector<uint32_t> ids;
+  ids.reserve(offsets.back());
   for (uint32_t v = 0; v < num_points_; ++v) {
     const std::span<const uint32_t> links = Links(v, 0);
-    base_layer_.MutableNeighbors(v).assign(links.begin(), links.end());
+    ids.insert(ids.end(), links.begin(), links.end());
   }
+  base_layer_ = CsrGraph(std::move(offsets), std::move(ids));
   build_.reset();
   build_seconds_ = seconds;
 }
@@ -355,7 +361,7 @@ uint32_t HnswIndex::Add(const float* vector, uint32_t label) {
   std::fill(row + dim_, row + stride_, 0.0f);
   rows.used += stride_;
   AppendVertex(label, DrawLevel());
-  base_layer_ = Graph();
+  base_layer_ = CsrGraph();
   if (id == 0) {
     entry_point_ = 0;
     max_level_ = Level(0);

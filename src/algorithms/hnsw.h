@@ -39,7 +39,7 @@
 #include "core/check.h"
 #include "core/dataset.h"
 #include "core/distance.h"
-#include "core/graph.h"
+#include "core/flat_graph.h"
 #include "core/index.h"
 #include "core/neighbor.h"
 #include "core/rng.h"
@@ -117,9 +117,10 @@ class HnswIndex : public AnnIndex {
   std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
                                    const SearchParams& params,
                                    QueryStats* stats = nullptr) const override;
-  /// Level 0 as of the last Build; empty once Add or Compact has changed
-  /// the structure (walk Neighbors(v, 0) instead).
-  const Graph& graph() const override { return base_layer_; }
+  /// A CSR snapshot of level 0 as of the last Build; empty once Add or
+  /// Compact has changed the structure (walk Neighbors(v, 0) instead).
+  /// Search walks the pages, and IndexMemoryBytes leaves it out.
+  const CsrGraph& graph() const override { return base_layer_; }
   /// Graph pages, upper-level blocks and page tables — every layer, since
   /// the hierarchy is what makes HNSW's index large — but never the rows.
   size_t IndexMemoryBytes() const override;
@@ -298,7 +299,7 @@ class HnswIndex : public AnnIndex {
   uint32_t entry_point_ = 0;
   uint32_t max_level_ = 0;
   Rng rng_;
-  Graph base_layer_;  // copy of level 0 made by Build, exposed via graph()
+  CsrGraph base_layer_;  // level 0 frozen by EndBuild, exposed via graph()
   double build_seconds_ = 0.0;
   uint64_t build_evals_ = 0;
   // Page ownership (see the file comment). `mutable` because copying an

@@ -58,7 +58,7 @@ void KdrIndex::Build(const Dataset& data) {
     }
   }
   // Pool-filling random seeds, like KGraph: cluster coverage scales with L.
-  FinishBuild(std::move(graph),
+  FinishBuild(CsrGraph(graph),
               std::make_unique<RandomSeedProvider>(
                   data.size(), /*num_seeds=*/0, params_.seed),
               RoutingKind::kRange, {timer.Seconds(), counter.count});

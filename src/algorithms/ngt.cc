@@ -98,7 +98,7 @@ void NgtIndex::Build(const Dataset& data) {
   VpTree::Params tree_params;
   tree_params.seed = params_.seed ^ 0x77ULL;
   auto tree = std::make_shared<VpTree>(data, tree_params);
-  FinishBuild(std::move(graph),
+  FinishBuild(CsrGraph(graph),
               std::make_unique<VpTreeSeedProvider>(std::move(tree),
                                                    params_.num_search_seeds,
                                                    params_.seed_tree_checks),

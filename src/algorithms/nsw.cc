@@ -40,7 +40,7 @@ void NswIndex::Build(const Dataset& data) {
   }
   // KGraph-style query seeding: fill the pool with random entries, which
   // keeps cluster coverage proportional to the search effort L.
-  FinishBuild(std::move(graph),
+  FinishBuild(CsrGraph(graph),
               std::make_unique<RandomSeedProvider>(
                   data.size(), /*num_seeds=*/0, params_.seed),
               RoutingKind::kBestFirst, {timer.Seconds(), counter.count});

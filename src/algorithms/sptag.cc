@@ -98,7 +98,7 @@ void SptagIndex::Build(const Dataset& data) {
     seeds = std::make_unique<KMeansTreeSeedProvider>(std::move(tree),
                                                      params_.seed_tree_checks);
   }
-  FinishBuild(std::move(graph), std::move(seeds), RoutingKind::kBestFirst,
+  FinishBuild(CsrGraph(graph), std::move(seeds), RoutingKind::kBestFirst,
               {timer.Seconds(), counter.count});
 }
 
@@ -119,7 +119,7 @@ void SptagIndex::Route(const float* query, const SearchParams&,
         ctx.visited.MarkVisited(entry.id);
       }
     }
-    BestFirstSearch(csr(), query, oracle, ctx, pool);
+    BestFirstSearch(graph(), query, oracle, ctx, pool);
     if (ctx.truncated) break;  // budget tripped: no further restarts
     const float best_after =
         pool.size() > 0 ? pool[0].distance

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/graph_io.h"
-
 namespace weavess {
 
 bool Graph::AddEdgeUnique(uint32_t u, uint32_t v) {
@@ -14,40 +12,16 @@ bool Graph::AddEdgeUnique(uint32_t u, uint32_t v) {
   return true;
 }
 
-bool Graph::HasEdge(uint32_t u, uint32_t v) const {
-  WEAVESS_DCHECK(u < size());
-  const auto& list = adjacency_[u];
-  return std::find(list.begin(), list.end(), v) != list.end();
-}
-
-uint64_t Graph::NumEdges() const {
-  uint64_t total = 0;
-  for (const auto& list : adjacency_) total += list.size();
-  return total;
-}
-
 size_t Graph::MemoryBytes() const {
   size_t bytes = adjacency_.size() * sizeof(std::vector<uint32_t>);
   for (const auto& list : adjacency_) bytes += list.size() * sizeof(uint32_t);
   return bytes;
 }
 
-void Graph::SortNeighborLists() {
-  for (auto& list : adjacency_) std::sort(list.begin(), list.end());
-}
-
 void Graph::TruncateDegrees(uint32_t max_degree) {
   for (auto& list : adjacency_) {
     if (list.size() > max_degree) list.resize(max_degree);
   }
-}
-
-Status Graph::Save(const std::string& path, std::string_view metadata) const {
-  return SaveGraph(*this, path, metadata);
-}
-
-StatusOr<Graph> Graph::Load(const std::string& path, std::string* metadata) {
-  return LoadGraph(path, metadata);
 }
 
 }  // namespace weavess

@@ -1,16 +1,14 @@
-// The graph index G(V, E) of Definition 2.3: adjacency lists over vertex ids
-// that correspond 1:1 to dataset rows. Directed by convention; undirected
-// graphs (NSW, DPG, k-DR) store both arc directions.
+// The graph index G(V, E) of Definition 2.3 while it is built: adjacency
+// lists over vertex ids that correspond 1:1 to dataset rows, frozen into a
+// CsrGraph (core/flat_graph.h) when done. Directed by convention;
+// undirected graphs (NSW, DPG, k-DR) store both arc directions.
 #ifndef WEAVESS_CORE_GRAPH_H_
 #define WEAVESS_CORE_GRAPH_H_
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/check.h"
-#include "core/status.h"
 
 namespace weavess {
 
@@ -46,33 +44,13 @@ class Graph {
     AddEdgeUnique(v, u);
   }
 
-  bool HasEdge(uint32_t u, uint32_t v) const;
-
-  uint64_t NumEdges() const;
-
-  /// Bytes of the adjacency payload: the index-size metric of Figure 6
-  /// counts 4 bytes per stored arc plus per-vertex list headers.
+  /// Bytes of this nested layout: 4 per stored arc plus a vector header
+  /// per vertex (the "nested" row of the Appendix I layout ablation).
   size_t MemoryBytes() const;
-
-  /// Sorts every adjacency list (used before set-intersection metrics).
-  void SortNeighborLists();
 
   /// Caps every adjacency list at `max_degree`, keeping the first entries
   /// (callers order lists by distance before truncation).
   void TruncateDegrees(uint32_t max_degree);
-
-  /// Persists the graph in the versioned, CRC32C-checksummed format of
-  /// docs/PERSISTENCE.md. `metadata` is an opaque section for algorithm
-  /// information (name, build parameters); it round-trips via Load.
-  /// Returns kIOError if the file cannot be written.
-  Status Save(const std::string& path, std::string_view metadata = {}) const;
-
-  /// Loads a saved graph, verifying magic, version and every section CRC.
-  /// Returns kCorruption with a byte-offset diagnostic on any mismatch
-  /// (including seed-era headerless files) — never aborts, never returns a
-  /// silently wrong graph. Fills `*metadata` when non-null.
-  static StatusOr<Graph> Load(const std::string& path,
-                              std::string* metadata = nullptr);
 
  private:
   std::vector<std::vector<uint32_t>> adjacency_;

@@ -1,5 +1,7 @@
 #include "core/graph_io.h"
 
+#include <utility>
+
 #include "core/binary_format.h"
 
 namespace weavess {
@@ -28,7 +30,7 @@ struct Layout {
 // Shared by DeserializeGraph and VerifyGraphBytes (which passes `sections`):
 // validates the whole buffer into `file`, materializing `graph_out` if set.
 Status ParseGraph(std::string_view bytes, GraphFileReport* file,
-                  std::vector<SectionReport>* sections, Graph* graph_out) {
+                  std::vector<SectionReport>* sections, CsrGraph* graph_out) {
   WEAVESS_ASSIGN_OR_RETURN(
       ByteCursor header,
       CheckPrologue(bytes, kGraphPrologue, &file->version, sections));
@@ -71,37 +73,39 @@ Status ParseGraph(std::string_view bytes, GraphFileReport* file,
       sections));
 
   // Offset table: offsets[0] == 0, non-decreasing, offsets[n] == num_edges.
-  const char* offsets = bytes.data() + kGraphHeaderBytes;
-  const char* payload = bytes.data() + layout.payload_begin;
-  uint64_t prev = LoadU64(offsets);
-  if (prev != 0) {
+  // The checked arrays become the graph as they are.
+  std::vector<uint64_t> offsets(uint64_t{n} + 1);
+  for (uint64_t v = 0; v <= n; ++v) {
+    offsets[v] = LoadU64(bytes.data() + kGraphHeaderBytes + v * 8);
+  }
+  if (offsets[0] != 0) {
     return CorruptionAt(kGraphHeaderBytes,
                         "adjacency offsets must start at 0, found " +
-                            std::to_string(prev));
+                            std::to_string(offsets[0]));
   }
   for (uint64_t v = 1; v <= n; ++v) {
-    const uint64_t cur = LoadU64(offsets + v * 8);
-    if (cur < prev) {
+    if (offsets[v] < offsets[v - 1]) {
       return CorruptionAt(kGraphHeaderBytes + v * 8,
                           "adjacency offsets decrease (" +
-                              std::to_string(cur) + " after " +
-                              std::to_string(prev) + ")");
+                              std::to_string(offsets[v]) + " after " +
+                              std::to_string(offsets[v - 1]) + ")");
     }
-    prev = cur;
   }
-  if (prev != e) {
+  if (offsets[n] != e) {
     return CorruptionAt(kGraphHeaderBytes + static_cast<uint64_t>(n) * 8,
-                        "adjacency offsets end at " + std::to_string(prev) +
+                        "adjacency offsets end at " +
+                            std::to_string(offsets[n]) +
                             " but the header promises " + std::to_string(e) +
                             " edges");
   }
 
   // Payload: every neighbor id must be a valid vertex.
+  std::vector<uint32_t> ids(e);
   for (uint64_t i = 0; i < e; ++i) {
-    const uint32_t id = LoadU32(payload + i * 4);
-    if (id >= n) {
+    ids[i] = LoadU32(bytes.data() + layout.payload_begin + i * 4);
+    if (ids[i] >= n) {
       return CorruptionAt(layout.payload_begin + i * 4,
-                          "neighbor id " + std::to_string(id) +
+                          "neighbor id " + std::to_string(ids[i]) +
                               " out of range for " + std::to_string(n) +
                               " vertices");
     }
@@ -111,23 +115,14 @@ Status ParseGraph(std::string_view bytes, GraphFileReport* file,
                         layout.metadata_len);
 
   if (graph_out != nullptr) {
-    *graph_out = Graph(n);
-    for (uint32_t v = 0; v < n; ++v) {
-      const uint64_t begin = LoadU64(offsets + uint64_t{v} * 8);
-      const uint64_t end = LoadU64(offsets + (uint64_t{v} + 1) * 8);
-      auto& list = graph_out->MutableNeighbors(v);
-      list.reserve(end - begin);
-      for (uint64_t i = begin; i < end; ++i) {
-        list.push_back(LoadU32(payload + i * 4));
-      }
-    }
+    *graph_out = CsrGraph(std::move(offsets), std::move(ids));
   }
   return Status::OK();
 }
 
 }  // namespace
 
-std::string SerializeGraph(const Graph& graph, std::string_view metadata) {
+std::string SerializeGraph(const CsrGraph& graph, std::string_view metadata) {
   WEAVESS_CHECK(metadata.size() <= kMaxGraphMetadataBytes);
   const uint32_t n = graph.size();
   const uint64_t e = graph.NumEdges();
@@ -161,42 +156,43 @@ std::string SerializeGraph(const Graph& graph, std::string_view metadata) {
   return out.Release();
 }
 
-StatusOr<Graph> DeserializeGraph(std::string_view bytes,
-                                 std::string* metadata) {
+StatusOr<CsrGraph> DeserializeGraph(std::string_view bytes,
+                                    std::string* metadata) {
   GraphFileReport file;
-  Graph graph;
+  CsrGraph graph;
   WEAVESS_RETURN_IF_ERROR(ParseGraph(bytes, &file, nullptr, &graph));
   if (metadata != nullptr) *metadata = std::move(file.metadata);
   return graph;
 }
 
-Status SaveGraphToWriter(const Graph& graph, std::string_view metadata,
+Status SaveGraphToWriter(const CsrGraph& graph, std::string_view metadata,
                          Writer& writer) {
   const std::string bytes = SerializeGraph(graph, metadata);
   WEAVESS_RETURN_IF_ERROR(writer.Append(bytes.data(), bytes.size()));
   return writer.Close();
 }
 
-StatusOr<Graph> LoadGraphFromReader(Reader& reader, std::string* metadata) {
+StatusOr<CsrGraph> LoadGraphFromReader(Reader& reader,
+                                       std::string* metadata) {
   std::string bytes;
   WEAVESS_RETURN_IF_ERROR(ReadAll(reader, &bytes));
   return DeserializeGraph(bytes, metadata);
 }
 
-Status SaveGraph(const Graph& graph, const std::string& path,
+Status SaveGraph(const CsrGraph& graph, const std::string& path,
                  std::string_view metadata) {
   return WriteStringToFile(SerializeGraph(graph, metadata), path);
 }
 
-StatusOr<Graph> LoadGraph(const std::string& path, std::string* metadata) {
+StatusOr<CsrGraph> LoadGraph(const std::string& path, std::string* metadata) {
   std::string bytes;
   WEAVESS_RETURN_IF_ERROR(ReadFileToString(path, &bytes));
   return DeserializeGraph(bytes, metadata);
 }
 
-StatusOr<Graph> LoadGraphForRows(const std::string& path, uint32_t num_rows,
-                                 std::string* metadata) {
-  WEAVESS_ASSIGN_OR_RETURN(Graph graph, LoadGraph(path, metadata));
+StatusOr<CsrGraph> LoadGraphForRows(const std::string& path,
+                                    uint32_t num_rows, std::string* metadata) {
+  WEAVESS_ASSIGN_OR_RETURN(CsrGraph graph, LoadGraph(path, metadata));
   if (graph.size() != num_rows) {
     return Status::Corruption("vertex-count mismatch: graph has " +
                               std::to_string(graph.size()) +

@@ -11,9 +11,10 @@
 //   then      num_edges u32 neighbor ids,            u32 CRC
 //   then      metadata bytes (opaque to the format), u32 CRC
 //
-// Every section is independently CRC32C-protected; Load never aborts and
-// never returns a silently wrong graph — any mismatch yields
-// Status::Corruption with a byte-offset diagnostic.
+// The two arrays are CsrGraph's own (core/flat_graph.h). Every section is
+// independently CRC32C-protected; loading never aborts and never returns a
+// silently wrong graph — any mismatch yields Status::Corruption with a
+// byte-offset diagnostic.
 #ifndef WEAVESS_CORE_GRAPH_IO_H_
 #define WEAVESS_CORE_GRAPH_IO_H_
 
@@ -24,7 +25,7 @@
 
 #include "core/binary_format.h"
 #include "core/file_io.h"
-#include "core/graph.h"
+#include "core/flat_graph.h"
 #include "core/status.h"
 
 namespace weavess {
@@ -39,31 +40,33 @@ inline constexpr uint32_t kMaxGraphMetadataBytes = 1u << 20;
 
 /// Serializes `graph` (plus opaque `metadata`, e.g. the algorithm name and
 /// build parameters) into the format above.
-std::string SerializeGraph(const Graph& graph, std::string_view metadata = {});
+std::string SerializeGraph(const CsrGraph& graph,
+                           std::string_view metadata = {});
 
 /// Parses a serialized graph, validating magic, version, every CRC, the
 /// offset table's monotonicity, and every neighbor id. On success, stores
 /// the metadata section into `*metadata` when non-null.
-StatusOr<Graph> DeserializeGraph(std::string_view bytes,
-                                 std::string* metadata = nullptr);
+StatusOr<CsrGraph> DeserializeGraph(std::string_view bytes,
+                                    std::string* metadata = nullptr);
 
 /// Streams the serialized form through `writer` (fault-injectable).
-Status SaveGraphToWriter(const Graph& graph, std::string_view metadata,
+Status SaveGraphToWriter(const CsrGraph& graph, std::string_view metadata,
                          Writer& writer);
 
 /// Reads a full serialized graph from `reader` (short reads are handled).
-StatusOr<Graph> LoadGraphFromReader(Reader& reader,
-                                    std::string* metadata = nullptr);
+StatusOr<CsrGraph> LoadGraphFromReader(Reader& reader,
+                                       std::string* metadata = nullptr);
 
-Status SaveGraph(const Graph& graph, const std::string& path,
+Status SaveGraph(const CsrGraph& graph, const std::string& path,
                  std::string_view metadata = {});
-StatusOr<Graph> LoadGraph(const std::string& path,
-                          std::string* metadata = nullptr);
+StatusOr<CsrGraph> LoadGraph(const std::string& path,
+                             std::string* metadata = nullptr);
 
 /// LoadGraph for a graph over `num_rows` dataset rows: a file whose vertex
 /// count disagrees is Corruption, like any other damage.
-StatusOr<Graph> LoadGraphForRows(const std::string& path, uint32_t num_rows,
-                                 std::string* metadata = nullptr);
+StatusOr<CsrGraph> LoadGraphForRows(const std::string& path,
+                                    uint32_t num_rows,
+                                    std::string* metadata = nullptr);
 
 /// Whole-file verification result for `weavess_cli verify`.
 struct GraphFileReport {

@@ -11,7 +11,7 @@
 
 #include "core/clock.h"
 #include "core/dataset.h"
-#include "core/graph.h"
+#include "core/flat_graph.h"
 #include "core/search_context.h"
 
 namespace weavess {
@@ -108,8 +108,9 @@ class AnnIndex {
     return SearchWith(*scratch_, query, params, stats);
   }
 
-  /// The (bottom-layer) graph index, for GQ/AD/CC metrics.
-  virtual const Graph& graph() const = 0;
+  /// The (bottom-layer) graph, as the CsrGraph the index holds at rest:
+  /// what GQ/AD/CC measure, SaveGraph persists and most routers walk.
+  virtual const CsrGraph& graph() const = 0;
 
   /// Bytes of the graph plus any auxiliary structures (trees, hash tables,
   /// extra layers) — the index-size metric of Figure 6. Excludes the raw

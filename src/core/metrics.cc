@@ -7,7 +7,7 @@
 
 namespace weavess {
 
-DegreeStats ComputeDegreeStats(const Graph& graph) {
+DegreeStats ComputeDegreeStats(const CsrGraph& graph) {
   DegreeStats stats;
   if (graph.size() == 0) return stats;
   uint64_t total = 0;
@@ -25,14 +25,15 @@ DegreeStats ComputeDegreeStats(const Graph& graph) {
   return stats;
 }
 
-double ComputeGraphQuality(const Graph& graph, const Graph& exact_knng) {
+double ComputeGraphQuality(const CsrGraph& graph,
+                           const CsrGraph& exact_knng) {
   WEAVESS_CHECK(graph.size() == exact_knng.size());
   if (exact_knng.NumEdges() == 0) return 0.0;
   uint64_t hits = 0;
   uint64_t total = 0;
   std::unordered_set<uint32_t> present;
   for (uint32_t v = 0; v < graph.size(); ++v) {
-    const auto& approx = graph.Neighbors(v);
+    const auto approx = graph.Neighbors(v);
     present.clear();
     present.insert(approx.begin(), approx.end());
     for (uint32_t u : exact_knng.Neighbors(v)) {
@@ -43,7 +44,7 @@ double ComputeGraphQuality(const Graph& graph, const Graph& exact_knng) {
   return total == 0 ? 0.0 : static_cast<double>(hits) / total;
 }
 
-uint32_t CountConnectedComponents(const Graph& graph) {
+uint32_t CountConnectedComponents(const CsrGraph& graph) {
   const uint32_t n = graph.size();
   if (n == 0) return 0;
   // Build the undirected view implicitly: union by both arc directions.
@@ -71,7 +72,7 @@ uint32_t CountConnectedComponents(const Graph& graph) {
   return components;
 }
 
-bool AllReachableFrom(const Graph& graph, uint32_t root) {
+bool AllReachableFrom(const CsrGraph& graph, uint32_t root) {
   const uint32_t n = graph.size();
   if (n == 0) return true;
   WEAVESS_CHECK(root < n);

@@ -6,7 +6,7 @@
 
 #include <cstdint>
 
-#include "core/graph.h"
+#include "core/flat_graph.h"
 
 namespace weavess {
 
@@ -17,19 +17,19 @@ struct DegreeStats {
 };
 
 /// Out-degree statistics over all vertices.
-DegreeStats ComputeDegreeStats(const Graph& graph);
+DegreeStats ComputeDegreeStats(const CsrGraph& graph);
 
 /// Graph quality GQ = |E' ∩ E| / |E| where E' is `graph`'s edge set and E is
 /// the exact KNNG's (both directed). `exact_knng` lists each vertex's true
 /// K nearest neighbors. Matches the definition of [21, 26, 97] cited in §5.1.
-double ComputeGraphQuality(const Graph& graph, const Graph& exact_knng);
+double ComputeGraphQuality(const CsrGraph& graph, const CsrGraph& exact_knng);
 
 /// Number of connected components of the *undirected view* of the graph
 /// (edge direction ignored), via breadth-first traversal.
-uint32_t CountConnectedComponents(const Graph& graph);
+uint32_t CountConnectedComponents(const CsrGraph& graph);
 
 /// True when every vertex is reachable from `root` following directed edges.
-bool AllReachableFrom(const Graph& graph, uint32_t root);
+bool AllReachableFrom(const CsrGraph& graph, uint32_t root);
 
 }  // namespace weavess
 

@@ -68,7 +68,7 @@ std::vector<uint32_t> LearnedRoutingIndex::SearchWith(
     SearchScratch& scratch, const float* query, const SearchParams& params,
     QueryStats* stats) const {
   WEAVESS_CHECK(data_ != nullptr);
-  const Graph& graph = base_->graph();
+  const CsrGraph& graph = base_->graph();
   SearchContext& ctx = scratch.ctx;
   ctx.BeginQuery(data_->size());
   DistanceCounter counter;
@@ -101,7 +101,7 @@ std::vector<uint32_t> LearnedRoutingIndex::SearchWith(
     const uint32_t current = pool[next].id;
     pool.MarkChecked(next);
     ++ctx.hops;
-    const auto& neighbors = graph.Neighbors(current);
+    const auto neighbors = graph.Neighbors(current);
     ranked.clear();
     ranked.reserve(neighbors.size());
     for (uint32_t neighbor : neighbors) {

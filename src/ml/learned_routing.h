@@ -38,7 +38,7 @@ class LearnedRoutingIndex : public AnnIndex {
   std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
                                    const SearchParams& params,
                                    QueryStats* stats = nullptr) const override;
-  const Graph& graph() const override { return base_->graph(); }
+  const CsrGraph& graph() const override { return base_->graph(); }
   size_t IndexMemoryBytes() const override;
   BuildStats build_stats() const override { return build_stats_; }
   std::string name() const override { return base_->name() + "+ML1"; }

@@ -367,7 +367,7 @@ void PipelineIndex::Build(const Dataset& data) {
                         config_.connect_pool_size, &counter);
   }
 
-  FinishBuild(std::move(graph), std::move(seeds), config_.routing,
+  FinishBuild(CsrGraph(graph), std::move(seeds), config_.routing,
               {timer.Seconds(), counter.count});
 }
 

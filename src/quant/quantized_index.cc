@@ -20,15 +20,14 @@ QuantizedIndex::QuantizedIndex(const std::string& inner_name,
       num_seeds_(options.num_seeds > 0 ? options.num_seeds : 10),
       seed_(options.seed) {}
 
-QuantizedIndex::QuantizedIndex(Graph graph, QuantizedDataset codes,
+QuantizedIndex::QuantizedIndex(CsrGraph graph, QuantizedDataset codes,
                                const Dataset& data, std::string metadata)
-    : owned_graph_(std::move(graph)),
+    : loaded_graph_(std::move(graph)),
       metadata_(std::move(metadata)),
-      graph_view_(&owned_graph_),
-      csr_(std::make_unique<CsrGraph>(owned_graph_)),
+      graph_view_(&loaded_graph_),
       codes_(std::move(codes)),
       data_(&data) {
-  WEAVESS_CHECK(codes_.size() == owned_graph_.size() &&
+  WEAVESS_CHECK(codes_.size() == loaded_graph_.size() &&
                 codes_.size() == data.size() && codes_.dim() == data.dim() &&
                 "codes must cover the graph's vertices and the dataset");
 }
@@ -42,24 +41,18 @@ void QuantizedIndex::Build(const Dataset& data) {
   inner_->Build(data);
   codes_ = SQ8Codec::Train(data).Encode(data);
   graph_view_ = &inner_->graph();
-  csr_ = std::make_unique<CsrGraph>(*graph_view_);
   data_ = &data;
 }
 
-const Graph& QuantizedIndex::graph() const {
+const CsrGraph& QuantizedIndex::graph() const {
   WEAVESS_CHECK(graph_view_ != nullptr && "index is not built");
   return *graph_view_;
 }
 
 size_t QuantizedIndex::IndexMemoryBytes() const {
-  size_t bytes = codes_.MemoryBytes();
-  if (inner_ != nullptr) {
-    bytes += inner_->IndexMemoryBytes();
-  } else {
-    bytes += owned_graph_.MemoryBytes();
-  }
-  if (csr_ != nullptr) bytes += csr_->MemoryBytes();
-  return bytes;
+  return codes_.MemoryBytes() + (inner_ != nullptr
+                                     ? inner_->IndexMemoryBytes()
+                                     : loaded_graph_.MemoryBytes());
 }
 
 BuildStats QuantizedIndex::build_stats() const {
@@ -104,7 +97,7 @@ std::vector<uint32_t> QuantizedIndex::SearchWith(SearchScratch& scratch,
   // evaluated at quantized distance.
   SeedPool(QuerySeedIds(query, codes_.dim(), codes_.size(), num_seeds_, seed_),
            query, quantized, ctx, pool);
-  BestFirstSearch(*csr_, query, quantized, ctx, pool);
+  BestFirstSearch(*graph_view_, query, quantized, ctx, pool);
 
   // Stage 2: exact float rescoring of the closest rescore_want quantized
   // candidates. Rescore work is accounted separately (rescore_evals) and

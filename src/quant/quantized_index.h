@@ -9,6 +9,8 @@
 //     rows from the hot path;
 //   - load: a deserialized graph + WVSSQNT1 codes (serving snapshots,
 //     ServingEngine::FromSavedGraphWithCodes).
+// Either way the traversal walks one CsrGraph: the inner index's graph()
+// on the registry path, the loaded graph on the load path.
 //
 // Search stays a pure function of (index, query bytes, params): seeds are
 // query-hash-derived and both stages evaluate through the bit-for-bit
@@ -37,10 +39,10 @@ class QuantizedIndex final : public AnnIndex {
   QuantizedIndex(const std::string& inner_name,
                  const AlgorithmOptions& options);
 
-  /// Load path: a pre-built graph and pre-encoded codes. `data` backs the
+  /// Load path: a loaded graph and pre-encoded codes. `data` backs the
   /// exact rescoring stage and must have graph.size() rows of codes.dim()
   /// floats, outliving the index.
-  QuantizedIndex(Graph graph, QuantizedDataset codes, const Dataset& data,
+  QuantizedIndex(CsrGraph graph, QuantizedDataset codes, const Dataset& data,
                  std::string metadata);
 
   ~QuantizedIndex() override;
@@ -51,11 +53,12 @@ class QuantizedIndex final : public AnnIndex {
                                    const SearchParams& params,
                                    QueryStats* stats) const override;
 
-  const Graph& graph() const override;
+  const CsrGraph& graph() const override;
 
-  /// Graph + CSR + code storage. The float rows are excluded (shared by
-  /// every index equally), which is what makes the ~4x code-vs-float
-  /// comparison visible through CodeMemoryBytes().
+  /// Code storage + the inner index (registry path) or the loaded graph
+  /// (load path). The float rows are excluded (shared by every index
+  /// equally), which is what makes the ~4x code-vs-float comparison
+  /// visible through CodeMemoryBytes().
   size_t IndexMemoryBytes() const override;
 
   BuildStats build_stats() const override;
@@ -75,12 +78,12 @@ class QuantizedIndex final : public AnnIndex {
   std::unique_ptr<AnnIndex> inner_;
 
   // Load path state.
-  Graph owned_graph_;
+  CsrGraph loaded_graph_;
   std::string metadata_;
 
-  // Shared search state, set by Build() or the load constructor.
-  const Graph* graph_view_ = nullptr;
-  std::unique_ptr<CsrGraph> csr_;
+  // Shared search state, set by Build() or the load constructor: the graph
+  // the traversal walks, inner_->graph() or loaded_graph_.
+  const CsrGraph* graph_view_ = nullptr;
   QuantizedDataset codes_;
   const Dataset* data_ = nullptr;
   uint32_t num_seeds_ = 10;

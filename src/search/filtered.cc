@@ -61,7 +61,7 @@ std::vector<uint32_t> FilteredSearcher::Search(const float* query,
   ctx.BeginQuery(data_->size());
   ctx.ArmBudget(params.max_distance_evals, params.time_budget_us, &counter,
                 params.clock);
-  const Graph& graph = index_->graph();
+  const CsrGraph& graph = index_->graph();
   CandidatePool routing(std::max(params.pool_size, params.k));
   CandidatePool results(std::max(params.k, 1u));
   auto offer = [&](uint32_t id, float dist) {

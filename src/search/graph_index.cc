@@ -14,11 +14,11 @@ void GraphIndex::BeginBuild(const Dataset& data) {
   data_ = &data;
 }
 
-void GraphIndex::FinishBuild(Graph graph, std::unique_ptr<SeedProvider> seeds,
+void GraphIndex::FinishBuild(CsrGraph graph,
+                             std::unique_ptr<SeedProvider> seeds,
                              RoutingKind routing, BuildStats stats) {
   WEAVESS_CHECK(data_ != nullptr && seeds != nullptr);
-  graph_ = std::move(graph);
-  csr_ = CsrGraph(graph_);
+  csr_ = std::move(graph);
   seeds_ = std::move(seeds);
   routing_ = routing;
   build_stats_ = stats;
@@ -77,8 +77,7 @@ void GraphIndex::Route(const float* query, const SearchParams& params,
 }
 
 size_t GraphIndex::IndexMemoryBytes() const {
-  return graph_.MemoryBytes() + csr_.MemoryBytes() +
-         (seeds_ ? seeds_->MemoryBytes() : 0);
+  return csr_.MemoryBytes() + (seeds_ ? seeds_->MemoryBytes() : 0);
 }
 
 }  // namespace weavess

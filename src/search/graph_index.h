@@ -1,6 +1,6 @@
 // The common search substrate of every fixed-graph index (§4–§5): one
-// query frame — budget arming, C6 seed acquisition, C7 routing over a flat
-// CSR copy of the graph, per-query stats — shared by the nine pipeline
+// query frame — budget arming, C6 seed acquisition, C7 routing over the
+// index's one CsrGraph, per-query stats — shared by the nine pipeline
 // algorithms, NGT, HCNNG, k-DR, NSW, SPTAG and graphs loaded from disk.
 // Holding the frame fixed is what lets the paper compare seeding and
 // routing strategies in isolation (Fig. 10). HNSW keeps its own frame (its
@@ -30,17 +30,20 @@ enum class RoutingKind {
 
 /// An index whose search walks one immutable graph from the entries of a
 /// SeedProvider. Derived classes implement Build (and name()); Build starts
-/// with BeginBuild and ends with FinishBuild, which hands the graph, the
-/// seed provider and the routing strategy over to the shared frame.
+/// with BeginBuild and ends with FinishBuild, which hands the frozen graph,
+/// the seed provider and the routing strategy over to the shared frame.
 class GraphIndex : public AnnIndex {
  public:
   std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
                                    const SearchParams& params,
                                    QueryStats* stats = nullptr) const final;
-  const Graph& graph() const final { return graph_; }
-  /// Graph + its CSR copy + the seed provider's auxiliary structure.
+  const CsrGraph& graph() const final { return csr_; }
+  /// The CSR graph + the seed provider's auxiliary structure.
   size_t IndexMemoryBytes() const final;
   BuildStats build_stats() const final { return build_stats_; }
+
+  /// The installed C6 entry strategy (valid once built).
+  const SeedProvider& seeds() const { return *seeds_; }
 
  protected:
   GraphIndex() = default;
@@ -52,26 +55,23 @@ class GraphIndex : public AnnIndex {
   /// at least two points; afterwards data() is `data`.
   void BeginBuild(const Dataset& data);
 
-  /// Installs the finished graph (flattened to CSR for the query path),
-  /// the entry strategy and the routing strategy.
-  void FinishBuild(Graph graph, std::unique_ptr<SeedProvider> seeds,
+  /// Installs the finished graph, the entry strategy and the routing
+  /// strategy. Builders freeze their working Graph into `graph`.
+  void FinishBuild(CsrGraph graph, std::unique_ptr<SeedProvider> seeds,
                    RoutingKind routing, BuildStats stats);
 
-  /// C7 after seeding: walks the CSR graph from the seeded pool with the
+  /// C7 after seeding: walks graph() from the seeded pool with the
   /// installed RoutingKind. SPTAG overrides it with its tree-restart loop.
   virtual void Route(const float* query, const SearchParams& params,
                      DistanceOracle& oracle, SearchContext& ctx,
                      CandidatePool& pool) const;
 
   const Dataset& data() const { return *data_; }
-  const CsrGraph& csr() const { return csr_; }
 
  private:
   const Dataset* data_ = nullptr;
-  Graph graph_;
-  /// Flat copy of graph_: the query path iterates contiguous neighbor
-  /// blocks instead of chasing per-vertex vector headers (Appendix I;
-  /// docs/KERNELS.md). Same neighbor order, so routing is unchanged.
+  /// The query path iterates contiguous neighbor blocks instead of chasing
+  /// per-vertex vector headers (Appendix I; docs/KERNELS.md).
   CsrGraph csr_;
   std::unique_ptr<SeedProvider> seeds_;
   RoutingKind routing_ = RoutingKind::kBestFirst;

@@ -7,7 +7,7 @@
 
 namespace weavess {
 
-LoadedGraphIndex::LoadedGraphIndex(Graph graph, const Dataset& data,
+LoadedGraphIndex::LoadedGraphIndex(CsrGraph graph, const Dataset& data,
                                    std::string metadata)
     : GraphIndex(data), metadata_(std::move(metadata)) {
   const uint32_t num_vertices = graph.size();

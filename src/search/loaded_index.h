@@ -20,7 +20,7 @@ class LoadedGraphIndex final : public GraphIndex {
   /// `data` must have exactly graph.size() rows and outlive the index.
   /// `metadata` is the free-form string stored alongside the graph
   /// (conventionally the builder algorithm's name).
-  LoadedGraphIndex(Graph graph, const Dataset& data, std::string metadata);
+  LoadedGraphIndex(CsrGraph graph, const Dataset& data, std::string metadata);
 
   void Build(const Dataset&) override;
 

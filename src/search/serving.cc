@@ -67,7 +67,8 @@ ServingEngine::Opened ServingEngine::FromSavedGraph(const std::string& path,
                                                     ServingConfig config) {
   Opened opened;
   std::string metadata;
-  StatusOr<Graph> graph_or = LoadGraphForRows(path, data.size(), &metadata);
+  StatusOr<CsrGraph> graph_or =
+      LoadGraphForRows(path, data.size(), &metadata);
   if (graph_or.ok()) {
     opened.engine.reset(new ServingEngine(
         std::make_unique<LoadedGraphIndex>(*std::move(graph_or), data,
@@ -85,7 +86,7 @@ ServingEngine::Opened ServingEngine::FromSavedGraphWithCodes(
     const Dataset& data, ServingConfig config) {
   Opened opened;
   std::string metadata;
-  StatusOr<Graph> graph_or =
+  StatusOr<CsrGraph> graph_or =
       LoadGraphForRows(graph_path, data.size(), &metadata);
   if (!graph_or.ok()) {
     // No usable graph: same whole-index brute-force fallback as

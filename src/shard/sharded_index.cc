@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <utility>
 
 #include "core/check.h"
@@ -87,8 +88,7 @@ void ShardedIndex::Build(const Dataset& data) {
     shards_[s].index = std::move(index);
   });
 
-  combined_ = Graph(data.size());
-  for (uint32_t s = 0; s < num_shards; ++s) ComposeShard(s);
+  Compose();
   RecountDegraded();
 
   build_stats_.seconds =
@@ -102,16 +102,31 @@ void ShardedIndex::Build(const Dataset& data) {
   }
 }
 
-void ShardedIndex::ComposeShard(uint32_t shard) {
-  const Shard& sh = shards_[shard];
-  for (uint32_t local = 0; local < sh.ids.size(); ++local) {
-    std::vector<uint32_t>& out = combined_.MutableNeighbors(sh.ids[local]);
-    out.clear();
-    if (sh.index == nullptr) continue;  // degraded: isolated vertices
-    for (uint32_t neighbor : sh.index->graph().Neighbors(local)) {
-      out.push_back(sh.ids[neighbor]);
+void ShardedIndex::Compose() {
+  // Each list's length lands at its global row, a prefix sum turns the
+  // lengths into offsets, then each list is translated into place. A shard
+  // without an index (degraded or tiny) leaves its rows isolated.
+  size_t num_vertices = 0;
+  for (const Shard& sh : shards_) num_vertices += sh.ids.size();
+  std::vector<uint64_t> offsets(num_vertices + 1, 0);
+  for (const Shard& sh : shards_) {
+    if (sh.index == nullptr) continue;
+    for (uint32_t local = 0; local < sh.ids.size(); ++local) {
+      offsets[sh.ids[local] + 1] = sh.index->graph().Neighbors(local).size();
     }
   }
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  std::vector<uint32_t> ids(offsets.back());
+  for (const Shard& sh : shards_) {
+    if (sh.index == nullptr) continue;
+    for (uint32_t local = 0; local < sh.ids.size(); ++local) {
+      uint64_t at = offsets[sh.ids[local]];
+      for (uint32_t neighbor : sh.index->graph().Neighbors(local)) {
+        ids[at++] = sh.ids[neighbor];
+      }
+    }
+  }
+  combined_ = CsrGraph(std::move(offsets), std::move(ids));
 }
 
 void ShardedIndex::RecountDegraded() {
@@ -212,8 +227,9 @@ Status ShardedIndex::Save(const std::string& prefix) {
     // Tiny shards persist a placeholder of isolated vertices so the file's
     // vertex count still agrees with the manifest's id map (verify checks
     // that); Load skips these files and serves the shard by exact scan.
-    const Graph placeholder(static_cast<uint32_t>(shards_[s].ids.size()));
-    const Graph& graph =
+    const CsrGraph placeholder(
+        std::vector<uint64_t>(shards_[s].ids.size() + 1, 0), {});
+    const CsrGraph& graph =
         shards_[s].index != nullptr ? shards_[s].index->graph() : placeholder;
     WEAVESS_RETURN_IF_ERROR(SaveGraph(graph, path, algorithm_));
     shards_[s].path = path;
@@ -259,7 +275,7 @@ StatusOr<std::unique_ptr<ShardedIndex>> ShardedIndex::Load(
     // file is not loaded (and its corruption is harmless).
     if (shard.tiny()) continue;
     std::string metadata;
-    StatusOr<Graph> graph =
+    StatusOr<CsrGraph> graph =
         LoadGraphForRows(shard.path, shard.data.size(), &metadata);
     if (graph.ok()) {
       shard.index = std::make_unique<LoadedGraphIndex>(
@@ -270,8 +286,7 @@ StatusOr<std::unique_ptr<ShardedIndex>> ShardedIndex::Load(
       shard.status = WrapShardStatus(s, shard.path, graph.status());
     }
   }
-  index->combined_ = Graph(data.size());
-  for (uint32_t s = 0; s < num_shards; ++s) index->ComposeShard(s);
+  index->Compose();
   index->RecountDegraded();
   return index;
 }
@@ -307,7 +322,7 @@ Status ShardedIndex::RepairShard(uint32_t shard) {
   rebuilt->Build(sh.data);
   sh.index = std::move(rebuilt);
   sh.status = Status::OK();
-  ComposeShard(shard);
+  Compose();
   RecountDegraded();
   if (!sh.path.empty()) {
     WEAVESS_RETURN_IF_ERROR(SaveGraph(sh.index->graph(), sh.path, algorithm_));

@@ -60,8 +60,9 @@ class ShardedIndex final : public AnnIndex {
                                    QueryStats* stats = nullptr) const override;
 
   /// The composed graph in global ids: shard adjacency translated through
-  /// each shard's id map. Degraded shards contribute isolated vertices.
-  const Graph& graph() const override { return combined_; }
+  /// each shard's id map, rebuilt whole after Build, Load and RepairShard.
+  /// Degraded and tiny shards contribute isolated vertices.
+  const CsrGraph& graph() const override { return combined_; }
 
   size_t IndexMemoryBytes() const override;
   BuildStats build_stats() const override { return build_stats_; }
@@ -140,9 +141,8 @@ class ShardedIndex final : public AnnIndex {
   /// Per-shard build options: single-threaded, derived seed.
   AlgorithmOptions ShardBuildOptions(uint32_t shard) const;
 
-  /// Rewrites combined_'s rows for one shard from its index (or clears
-  /// them when degraded).
-  void ComposeShard(uint32_t shard);
+  /// Rebuilds combined_ from every shard's index.
+  void Compose();
 
   void RecountDegraded();
 
@@ -160,7 +160,7 @@ class ShardedIndex final : public AnnIndex {
   AlgorithmOptions options_;
   PartitionerKind partitioner_ = PartitionerKind::kRandom;
   std::vector<Shard> shards_;  // sized once; Shard addresses are stable
-  Graph combined_;
+  CsrGraph combined_;
   BuildStats build_stats_;
   uint64_t generation_ = 0;
   std::atomic<uint32_t> degraded_count_{0};

@@ -3,6 +3,7 @@
 // backtracking, ε-expansion) beyond the uniform integration checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "algorithms/fanng.h"
@@ -45,10 +46,11 @@ TEST(NswDetailTest, HubsGrowBeyondInsertDegree) {
 TEST(NswDetailTest, GraphIsUndirected) {
   NswIndex index(NswIndex::Params{});
   index.Build(SharedWorkload().workload.base);
-  const Graph& graph = index.graph();
+  const CsrGraph& graph = index.graph();
   for (uint32_t v = 0; v < graph.size(); v += 37) {
     for (uint32_t u : graph.Neighbors(v)) {
-      EXPECT_TRUE(graph.HasEdge(u, v));
+      const auto back = graph.Neighbors(u);
+      EXPECT_NE(std::find(back.begin(), back.end(), v), back.end());
     }
   }
 }
@@ -117,7 +119,7 @@ TEST(NgtDetailTest, LargerEpsilonCostsMoreAndFindsAtLeastAsMuch) {
 
 TEST(SptagDetailTest, MorePartitionIterationsImproveGraphQuality) {
   const TestWorkload& tw = SharedWorkload();
-  const Graph exact = BuildExactKnng(tw.workload.base, 10);
+  const CsrGraph exact(BuildExactKnng(tw.workload.base, 10));
   double previous = -1.0;
   for (uint32_t iterations : {1u, 4u}) {
     SptagIndex::Params params;
@@ -134,7 +136,7 @@ TEST(SptagDetailTest, MorePartitionIterationsImproveGraphQuality) {
 
 TEST(SptagDetailTest, NeighborhoodPropagationImprovesGraphQuality) {
   const TestWorkload& tw = SharedWorkload();
-  const Graph exact = BuildExactKnng(tw.workload.base, 10);
+  const CsrGraph exact(BuildExactKnng(tw.workload.base, 10));
   SptagIndex::Params without;
   without.partition_iterations = 2;
   without.propagation_passes = 0;

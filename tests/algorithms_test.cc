@@ -10,7 +10,12 @@
 #include "algorithms/hnsw.h"
 #include "algorithms/registry.h"
 #include "core/metrics.h"
+#include "quant/quantized_index.h"
+#include "quant/sq8.h"
+#include "search/graph_index.h"
 #include "search/loaded_index.h"
+#include "shard/scatter_gather.h"
+#include "shard/sharded_index.h"
 #include "test_util.h"
 
 namespace weavess {
@@ -41,6 +46,15 @@ AlgorithmOptions SmallOptions() {
   return options;
 }
 
+// A registry name as a gtest name: '-' and ':' become '_'.
+std::string TestName(const ::testing::TestParamInfo<std::string>& info) {
+  std::string name = info.param;
+  for (char& c : name) {
+    if (c == '-' || c == ':') c = '_';
+  }
+  return name;
+}
+
 class AlgorithmFixture : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(AlgorithmFixture, BuildsAndReachesRecall) {
@@ -50,7 +64,7 @@ TEST_P(AlgorithmFixture, BuildsAndReachesRecall) {
   index->Build(tw.workload.base);
 
   // Structural invariants.
-  const Graph& graph = index->graph();
+  const CsrGraph& graph = index->graph();
   ASSERT_EQ(graph.size(), tw.workload.base.size());
   for (uint32_t v = 0; v < graph.size(); ++v) {
     std::set<uint32_t> seen;
@@ -202,6 +216,74 @@ TEST(SearchTracePinTest, LoadedNsgGraph) {
   ExpectTracePin(loaded, TracePins().at("LoadedGraph:NSG"));
 }
 
+// ---------- Index size (IS, Fig. 6) ----------
+//
+// An index holds its graph once, as the CsrGraph graph() returns, so IS is
+// that graph's bytes plus the index's own auxiliary structures, each
+// counted once.
+
+class IndexSizeTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(IndexSizeTest, CountsEachEdgeOnce) {
+  const TestWorkload small_workload =
+      MakeTestWorkload(300, 16, 1, 6, 18.0f, 5);
+  const Dataset& base = small_workload.workload.base;
+  const AlgorithmOptions options = SmallOptions();
+  auto index = CreateAlgorithm(GetParam(), options);
+  index->Build(base);
+  const size_t bytes = index->IndexMemoryBytes();
+  if (const auto* graph_index = dynamic_cast<const GraphIndex*>(index.get())) {
+    EXPECT_EQ(bytes, graph_index->graph().MemoryBytes() +
+                         graph_index->seeds().MemoryBytes());
+  } else if (const auto* sq8 =
+                 dynamic_cast<const QuantizedIndex*>(index.get())) {
+    // The inner index, routed on as it is, plus the codes.
+    auto inner = CreateAlgorithm(GetParam().substr(4), options);
+    inner->Build(base);
+    EXPECT_TRUE(sq8->graph() == inner->graph());
+    EXPECT_EQ(bytes, inner->IndexMemoryBytes() + sq8->CodeMemoryBytes());
+  } else if (const auto* sharded =
+                 dynamic_cast<const ShardedIndex*>(index.get())) {
+    // The composed CSR + per shard: id map, row subset and inner index
+    // (rebuilt here from the shard's derived seed, bit-for-bit).
+    size_t expected = sharded->graph().MemoryBytes();
+    for (uint32_t s = 0; s < sharded->num_shards(); ++s) {
+      const Dataset rows = base.Subset(sharded->shard_ids(s));
+      AlgorithmOptions shard_options = options;
+      shard_options.build_threads = 1;
+      shard_options.seed = DeriveShardSeed(options.seed, s);
+      auto shard = CreateAlgorithm(sharded->algorithm(), shard_options);
+      shard->Build(rows);
+      expected += rows.size() * sizeof(uint32_t) + rows.MemoryBytes() +
+                  shard->IndexMemoryBytes();
+    }
+    EXPECT_EQ(bytes, expected);
+  } else {
+    // HNSW: pages and tables only; graph()'s level-0 snapshot is not IS.
+    ASSERT_NE(dynamic_cast<const HnswIndex*>(index.get()), nullptr);
+  }
+}
+
+std::vector<std::string> IndexSizeNames() {
+  std::vector<std::string> names = AlgorithmNames();
+  names.insert(names.end(), {"SQ8:NSG", "SQ8:HNSW", "Sharded:NSG"});
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(RegistryAndWrappers, IndexSizeTest,
+                         ::testing::ValuesIn(IndexSizeNames()), TestName);
+
+TEST(IndexSizeLoadedTest, LoadedQuantizedIndexOwnsOneGraph) {
+  const Dataset& base = SharedWorkload().workload.base;
+  auto nsg = CreateAlgorithm("NSG", SmallOptions());
+  nsg->Build(base);
+  const QuantizedIndex loaded(nsg->graph(), SQ8Codec::Train(base).Encode(base),
+                              base, "NSG");
+  EXPECT_TRUE(loaded.graph() == nsg->graph());
+  EXPECT_EQ(loaded.IndexMemoryBytes(),
+            loaded.graph().MemoryBytes() + loaded.CodeMemoryBytes());
+}
+
 // ---------- Scratch reuse ----------
 //
 // A scratch grows to cover whatever index it is handed, so one scratch
@@ -257,14 +339,7 @@ INSTANTIATE_TEST_SUITE_P(GraphHnswQuantized, ScratchReuseTest,
                          });
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, AlgorithmFixture,
-                         ::testing::ValuesIn(AlgorithmNames()),
-                         [](const auto& info) {
-                           std::string name = info.param;
-                           for (char& c : name) {
-                             if (c == '-' || c == ':') c = '_';
-                           }
-                           return name;
-                         });
+                         ::testing::ValuesIn(AlgorithmNames()), TestName);
 
 TEST(RegistryTest, NamesAreKnownAndConstructible) {
   EXPECT_EQ(AlgorithmNames().size(), 18u);

@@ -117,7 +117,7 @@ ReplicaManifest PinnedReplicaManifest() {
 
 TEST(BinaryFormatPinTest, GraphFileIsByteIdentical) {
   const std::string bytes =
-      SerializeGraph(PinnedGraph(), "NSG max_degree=8 seed=42");
+      SerializeGraph(CsrGraph(PinnedGraph()), "NSG max_degree=8 seed=42");
   ExpectPinned(bytes, 4748, 0xb8573ac2u);
   EXPECT_EQ(Hex(std::string_view(bytes).substr(0, kGraphHeaderBytes)),
             "575653475250483101000000c8000000000300000000000018000000"

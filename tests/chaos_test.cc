@@ -196,7 +196,7 @@ TEST(ChaosTest, MismatchedDatasetIsCorruptionFallback) {
   Graph tiny(6);
   for (uint32_t v = 0; v < 6; ++v) tiny.AddEdge(v, (v + 1) % 6);
   const std::string path = TempPath("chaos_mismatch.wvs");
-  ASSERT_TRUE(SaveGraph(tiny, path, "tiny").ok());
+  ASSERT_TRUE(SaveGraph(CsrGraph(tiny), path, "tiny").ok());
 
   ServingEngine::Opened opened =
       ServingEngine::FromSavedGraph(path, tw.workload.base, ServingConfig{});

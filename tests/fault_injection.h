@@ -210,7 +210,7 @@ class ChaosIndex : public AnnIndex {
     return ids;
   }
 
-  const Graph& graph() const override { return inner_.graph(); }
+  const CsrGraph& graph() const override { return inner_.graph(); }
   size_t IndexMemoryBytes() const override {
     return inner_.IndexMemoryBytes();
   }

@@ -36,9 +36,34 @@ TEST(CsrGraphTest, MemoryIsCompact) {
   EXPECT_EQ(csr.MemoryBytes(), 5 * sizeof(uint64_t) + 4 * sizeof(uint32_t));
 }
 
+TEST(CsrGraphTest, AdoptsOffsetsAndIds) {
+  const CsrGraph adopted({0, 3, 3, 4, 4}, {1, 2, 3, 0});
+  EXPECT_EQ(adopted, CsrGraph(MakeGraph()));
+  EXPECT_EQ(adopted.size(), 4u);
+  EXPECT_EQ(adopted.NumEdges(), 4u);
+  EXPECT_FALSE(adopted == CsrGraph({0, 3, 3, 3, 4}, {1, 2, 3, 0}));
+}
+
+TEST(CsrGraphTest, ZeroVerticesHoldNothing) {
+  // However a zero-vertex graph is made, it compares equal and owns no
+  // bytes, so resetting an index's graph to CsrGraph() is free.
+  const CsrGraph empty;
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(empty.MemoryBytes(), 0u);
+  EXPECT_EQ(CsrGraph(Graph(0)), empty);
+  EXPECT_EQ(CsrGraph({0}, {}), empty);
+}
+
+TEST(CsrGraphDeathTest, RejectsBrokenOffsets) {
+  const char* failed = "WEAVESS_CHECK failed";
+  EXPECT_DEATH(CsrGraph({}, {}), failed);             // no offset table
+  EXPECT_DEATH(CsrGraph({1, 1}, {0}), failed);        // starts past 0
+  EXPECT_DEATH(CsrGraph({0, 2, 1}, {0, 1}), failed);  // decreases
+  EXPECT_DEATH(CsrGraph({0, 1}, {0, 1}), failed);     // ends short
+}
+
 TEST(AlignedGraphTest, StrideIsMaxDegreeAndPadded) {
-  const Graph graph = MakeGraph();
-  const AlignedGraph aligned(graph);
+  const AlignedGraph aligned{CsrGraph(MakeGraph())};
   EXPECT_EQ(aligned.stride(), 3u);
   const uint32_t* row0 = aligned.Slots(0);
   EXPECT_EQ(row0[0], 1u);
@@ -52,12 +77,11 @@ TEST(AlignedGraphTest, StrideIsMaxDegreeAndPadded) {
 }
 
 TEST(AlignedGraphTest, MemoryPaysForPadding) {
-  const Graph graph = MakeGraph();
-  const AlignedGraph aligned(graph);
+  const CsrGraph csr(MakeGraph());
+  const AlignedGraph aligned(csr);
   EXPECT_EQ(aligned.MemoryBytes(), 4u * 3u * sizeof(uint32_t));
   // Hubby graphs pad more than CSR stores.
-  EXPECT_GT(aligned.MemoryBytes(),
-            CsrGraph(graph).MemoryBytes() - 5 * sizeof(uint64_t));
+  EXPECT_GT(aligned.MemoryBytes(), csr.MemoryBytes() - 5 * sizeof(uint64_t));
 }
 
 }  // namespace

@@ -146,11 +146,12 @@ CrcSpan Trailing(size_t begin, size_t length) {
 Subject GraphSubject() {
   Rng rng(11);
   const uint32_t n = 24;
-  Graph graph(n);
+  Graph built(n);
   for (uint32_t v = 0; v < n; ++v) {
     const uint32_t degree = Pick(rng, 5);
-    for (uint32_t i = 0; i < degree; ++i) graph.AddEdge(v, Pick(rng, n));
+    for (uint32_t i = 0; i < degree; ++i) built.AddEdge(v, Pick(rng, n));
   }
+  const CsrGraph graph(built);
   const std::string metadata = "NSG seed=11";
   Subject s{"graph", SerializeGraph(graph, metadata), {}, {}, {}};
   const size_t offsets = kGraphHeaderBytes;
@@ -163,7 +164,7 @@ Subject GraphSubject() {
   s.counts = {{12, 4}, {16, 8}, {24, 4}, {offsets + n * 8, 8}};
   s.parse = [](const std::string& bytes) {
     std::string metadata;
-    StatusOr<Graph> graph = DeserializeGraph(bytes, &metadata);
+    StatusOr<CsrGraph> graph = DeserializeGraph(bytes, &metadata);
     const GraphFileReport report = VerifyGraphBytes(bytes);
     EXPECT_EQ(report.status.code(), graph.status().code())
         << "verify and load disagree: " << report.status.ToString();

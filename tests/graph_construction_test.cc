@@ -116,15 +116,15 @@ TEST(ExactKnngTest, MergeKeepsClosestAcrossCalls) {
   // Merging the full set twice must equal the exact KNNG.
   MergeExactKnngOnSubset(data, all, 4, graph);
   MergeExactKnngOnSubset(data, all, 4, graph);
-  const Graph exact = BuildExactKnng(data, 4);
-  EXPECT_DOUBLE_EQ(ComputeGraphQuality(graph, exact), 1.0);
+  const CsrGraph exact(BuildExactKnng(data, 4));
+  EXPECT_DOUBLE_EQ(ComputeGraphQuality(CsrGraph(graph), exact), 1.0);
 }
 
 // ---------- NN-Descent ----------
 
 TEST(NnDescentTest, ImprovesGraphQualityOverRandom) {
   const Dataset data = SmallData(800, 12);
-  const Graph exact = BuildExactKnng(data, 10);
+  const CsrGraph exact(BuildExactKnng(data, 10));
 
   NnDescentParams params;
   params.k = 10;
@@ -132,14 +132,14 @@ TEST(NnDescentTest, ImprovesGraphQualityOverRandom) {
   NnDescent random_only(data, params);
   random_only.InitRandom();
   const double random_quality =
-      ComputeGraphQuality(random_only.ExtractGraph(10), exact);
+      ComputeGraphQuality(CsrGraph(random_only.ExtractGraph(10)), exact);
 
   params.iterations = 8;
   NnDescent refined(data, params);
   refined.InitRandom();
   refined.Run();
   const double refined_quality =
-      ComputeGraphQuality(refined.ExtractGraph(10), exact);
+      ComputeGraphQuality(CsrGraph(refined.ExtractGraph(10)), exact);
 
   EXPECT_LT(random_quality, 0.2);
   EXPECT_GT(refined_quality, 0.90);  // NN-Descent converges on easy data
@@ -148,7 +148,7 @@ TEST(NnDescentTest, ImprovesGraphQualityOverRandom) {
 
 TEST(NnDescentTest, QualityMonotoneInIterations) {
   const Dataset data = SmallData(500, 10);
-  const Graph exact = BuildExactKnng(data, 8);
+  const CsrGraph exact(BuildExactKnng(data, 8));
   double last_quality = -1.0;
   for (uint32_t iters : {1u, 3u, 8u}) {
     NnDescentParams params;
@@ -159,7 +159,7 @@ TEST(NnDescentTest, QualityMonotoneInIterations) {
     descent.InitRandom();
     descent.Run();
     const double quality =
-        ComputeGraphQuality(descent.ExtractGraph(8), exact);
+        ComputeGraphQuality(CsrGraph(descent.ExtractGraph(8)), exact);
     EXPECT_GE(quality + 0.02, last_quality);  // allow tiny noise
     last_quality = quality;
   }
@@ -186,7 +186,9 @@ TEST(NnDescentTest, InitFromGraphUsesProvidedNeighbors) {
   NnDescent descent(data, params);
   descent.InitFromGraph(exact);
   // Seeding with the exact graph keeps its quality without any iteration.
-  EXPECT_GT(ComputeGraphQuality(descent.ExtractGraph(8), exact), 0.95);
+  EXPECT_GT(ComputeGraphQuality(CsrGraph(descent.ExtractGraph(8)),
+                                CsrGraph(exact)),
+            0.95);
 }
 
 TEST(NnDescentTest, InitRandomFillsPoolsAtTinyCardinality) {
@@ -540,12 +542,12 @@ TEST(ConnectivityTest, RepairsDisconnectedGraph) {
   const Dataset data = SmallData(300, 8);
   // A sparse exact KNNG is typically disconnected across clusters.
   Graph graph = BuildExactKnng(data, 2);
-  if (AllReachableFrom(graph, 0)) {
+  if (AllReachableFrom(CsrGraph(graph), 0)) {
     GTEST_SKIP() << "graph accidentally connected; nothing to repair";
   }
   const uint32_t bridges = EnsureReachableFrom(graph, data, 0, 20);
   EXPECT_GT(bridges, 0u);
-  EXPECT_TRUE(AllReachableFrom(graph, 0));
+  EXPECT_TRUE(AllReachableFrom(CsrGraph(graph), 0));
 }
 
 TEST(ConnectivityTest, NoOpOnConnectedGraph) {

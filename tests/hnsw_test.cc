@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "algorithms/hnsw.h"
@@ -251,6 +253,29 @@ TEST_F(DynamicHnswTest, BuildViewsRowsUntilAddCopiesTheTail) {
     ASSERT_EQ(result.size(), 1u);
     EXPECT_EQ(result[0], id);
   }
+}
+
+// graph() is a CSR snapshot of the paged level 0, and SQ8:HNSW routes on
+// its inner index's snapshot: built with the same options, they are equal.
+TEST_F(DynamicHnswTest, GraphIsTheLevelZeroSnapshotSq8RoutesOn) {
+  std::vector<uint32_t> first(300);
+  for (uint32_t i = 0; i < 300; ++i) first[i] = i;
+  const Dataset head = workload_.base.Subset(first);
+  auto built = CreateAlgorithm("HNSW", AlgorithmOptions());
+  built->Build(head);
+  const auto& index = dynamic_cast<const HnswIndex&>(*built);
+  std::vector<uint64_t> offsets = {0};
+  std::vector<uint32_t> ids;
+  for (uint32_t v = 0; v < index.size(); ++v) {
+    const std::span<const uint32_t> links = index.Neighbors(v, 0);
+    ids.insert(ids.end(), links.begin(), links.end());
+    offsets.push_back(ids.size());
+  }
+  EXPECT_TRUE(index.graph() == CsrGraph(std::move(offsets), std::move(ids)));
+
+  auto quantized = CreateAlgorithm("SQ8:HNSW", AlgorithmOptions());
+  quantized->Build(head);
+  EXPECT_TRUE(quantized->graph() == index.graph());
 }
 
 // IndexMemoryBytes counts graph pages, upper-level blocks and page tables,

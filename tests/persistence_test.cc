@@ -36,7 +36,7 @@ using ::weavess::testing::MakeTestWorkload;
 using ::weavess::testing::ShortReadReader;
 using ::weavess::testing::TruncateAt;
 
-Graph MakeSmallGraph() {
+CsrGraph MakeSmallGraph() {
   Graph graph(6);
   graph.AddEdge(0, 1);
   graph.AddEdge(0, 2);
@@ -45,7 +45,7 @@ Graph MakeSmallGraph() {
   graph.AddEdge(3, 5);
   graph.AddEdge(4, 0);
   graph.AddEdge(5, 1);
-  return graph;
+  return CsrGraph(graph);
 }
 
 std::string TempPath(const char* name) {
@@ -53,23 +53,20 @@ std::string TempPath(const char* name) {
 }
 
 TEST(PersistenceTest, SerializeDeserializeRoundTripWithMetadata) {
-  const Graph graph = MakeSmallGraph();
+  const CsrGraph graph = MakeSmallGraph();
   const std::string bytes = SerializeGraph(graph, "HNSW max_degree=30");
   std::string metadata;
-  StatusOr<Graph> loaded = DeserializeGraph(bytes, &metadata);
+  StatusOr<CsrGraph> loaded = DeserializeGraph(bytes, &metadata);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(metadata, "HNSW max_degree=30");
-  ASSERT_EQ(loaded->size(), graph.size());
-  for (uint32_t v = 0; v < graph.size(); ++v) {
-    EXPECT_EQ(loaded->Neighbors(v), graph.Neighbors(v));
-  }
+  EXPECT_EQ(*loaded, graph);
   // Re-serialization must be bit-identical: the format is canonical.
   EXPECT_EQ(SerializeGraph(*loaded, metadata), bytes);
 }
 
 TEST(PersistenceTest, EmptyGraphRoundTrips) {
-  const Graph graph(0);
-  StatusOr<Graph> loaded = DeserializeGraph(SerializeGraph(graph));
+  const CsrGraph graph;
+  StatusOr<CsrGraph> loaded = DeserializeGraph(SerializeGraph(graph));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->size(), 0u);
 }
@@ -77,7 +74,7 @@ TEST(PersistenceTest, EmptyGraphRoundTrips) {
 TEST(PersistenceTest, LegacyFormatFileIsCorruption) {
   // The seed-era format began with a raw u32 vertex count — no magic. Any
   // such file must be rejected as corruption, with a hint, never parsed.
-  const Graph graph = MakeSmallGraph();
+  const CsrGraph graph = MakeSmallGraph();
   std::string legacy;
   const uint32_t n = graph.size();
   legacy.append(reinterpret_cast<const char*>(&n), 4);
@@ -87,7 +84,7 @@ TEST(PersistenceTest, LegacyFormatFileIsCorruption) {
     legacy.append(reinterpret_cast<const char*>(graph.Neighbors(v).data()),
                   deg * 4);
   }
-  StatusOr<Graph> loaded = DeserializeGraph(legacy);
+  StatusOr<CsrGraph> loaded = DeserializeGraph(legacy);
   ASSERT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
   EXPECT_NE(loaded.status().message().find("legacy"), std::string::npos)
@@ -102,7 +99,7 @@ TEST(PersistenceTest, TruncationAtEveryLengthIsDetected) {
   // with kCorruption — this covers every section boundary by construction.
   const std::string bytes = SerializeGraph(MakeSmallGraph(), "meta");
   for (size_t length = 0; length < bytes.size(); ++length) {
-    StatusOr<Graph> loaded = DeserializeGraph(TruncateAt(bytes, length));
+    StatusOr<CsrGraph> loaded = DeserializeGraph(TruncateAt(bytes, length));
     ASSERT_FALSE(loaded.ok()) << "prefix of " << length << " bytes parsed";
     EXPECT_TRUE(loaded.status().IsCorruption())
         << "length " << length << ": " << loaded.status().ToString();
@@ -112,7 +109,7 @@ TEST(PersistenceTest, TruncationAtEveryLengthIsDetected) {
 TEST(PersistenceTest, AppendedGarbageIsDetected) {
   std::string bytes = SerializeGraph(MakeSmallGraph(), "meta");
   bytes.push_back('\0');
-  StatusOr<Graph> loaded = DeserializeGraph(bytes);
+  StatusOr<CsrGraph> loaded = DeserializeGraph(bytes);
   ASSERT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
 }
@@ -123,7 +120,7 @@ TEST(PersistenceTest, EveryBitFlipIsDetected) {
   // total) and never an abort or a wrong graph.
   const std::string bytes = SerializeGraph(MakeSmallGraph(), "m");
   for (size_t bit = 0; bit < bytes.size() * 8; ++bit) {
-    StatusOr<Graph> loaded = DeserializeGraph(FlipBit(bytes, bit));
+    StatusOr<CsrGraph> loaded = DeserializeGraph(FlipBit(bytes, bit));
     ASSERT_FALSE(loaded.ok()) << "bit " << bit << " flip went undetected";
     EXPECT_TRUE(loaded.status().IsCorruption())
         << "bit " << bit << ": " << loaded.status().ToString();
@@ -134,7 +131,8 @@ TEST(PersistenceTest, CorruptionDiagnosticsCarryByteOffsets) {
   const std::string bytes = SerializeGraph(MakeSmallGraph(), "m");
   // Flip a byte in the adjacency payload (after header + offsets + CRC).
   const size_t payload_start = kGraphHeaderBytes + (6 + 1) * 8 + 4;
-  StatusOr<Graph> loaded = DeserializeGraph(FlipBit(bytes, payload_start * 8));
+  StatusOr<CsrGraph> loaded =
+      DeserializeGraph(FlipBit(bytes, payload_start * 8));
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("byte offset"), std::string::npos)
       << loaded.status().ToString();
@@ -142,22 +140,20 @@ TEST(PersistenceTest, CorruptionDiagnosticsCarryByteOffsets) {
 
 TEST(PersistenceTest, ShortReadsStillLoadCorrectly) {
   // A reader that trickles out 3 bytes at a time must not confuse Load.
-  const Graph graph = MakeSmallGraph();
+  const CsrGraph graph = MakeSmallGraph();
   const std::string bytes = SerializeGraph(graph, "trickle");
   ShortReadReader reader(bytes, 3);
   std::string metadata;
-  StatusOr<Graph> loaded = LoadGraphFromReader(reader, &metadata);
+  StatusOr<CsrGraph> loaded = LoadGraphFromReader(reader, &metadata);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(metadata, "trickle");
-  for (uint32_t v = 0; v < graph.size(); ++v) {
-    EXPECT_EQ(loaded->Neighbors(v), graph.Neighbors(v));
-  }
+  EXPECT_EQ(*loaded, graph);
 }
 
 TEST(PersistenceTest, FailedWriteIsIOErrorAtEveryCapacity) {
   // Simulated ENOSPC at every possible byte capacity: Save must report
   // kIOError, and a writer that succeeded must hold a loadable file.
-  const Graph graph = MakeSmallGraph();
+  const CsrGraph graph = MakeSmallGraph();
   const size_t full_size = SerializeGraph(graph, "x").size();
   for (size_t capacity = 0; capacity < full_size; ++capacity) {
     FaultyWriter writer(capacity);
@@ -173,13 +169,13 @@ TEST(PersistenceTest, FailedWriteIsIOErrorAtEveryCapacity) {
 TEST(PersistenceTest, MidStreamReadFailureIsIOError) {
   const std::string bytes = SerializeGraph(MakeSmallGraph(), "x");
   FailingReader reader(bytes, bytes.size() / 2);
-  StatusOr<Graph> loaded = LoadGraphFromReader(reader);
+  StatusOr<CsrGraph> loaded = LoadGraphFromReader(reader);
   ASSERT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status().ToString();
 }
 
 TEST(PersistenceTest, VerifyReportsEverySectionOnCleanFile) {
-  const Graph graph = MakeSmallGraph();
+  const CsrGraph graph = MakeSmallGraph();
   const GraphFileReport report =
       VerifyGraphBytes(SerializeGraph(graph, "algo=NSG"));
   ASSERT_TRUE(report.status.ok()) << report.status.ToString();
@@ -217,7 +213,7 @@ TEST(PersistenceTest, UnsupportedVersionIsNotSupported) {
   bytes[8] = 2;
   const uint32_t crc = Crc32c(bytes.data(), 28);
   std::memcpy(&bytes[28], &crc, 4);
-  StatusOr<Graph> loaded = DeserializeGraph(bytes);
+  StatusOr<CsrGraph> loaded = DeserializeGraph(bytes);
   ASSERT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsNotSupported()) << loaded.status().ToString();
 }
@@ -236,21 +232,18 @@ TEST(PersistenceTest, EveryRegistryAlgorithmRoundTrips) {
     SCOPED_TRACE(name);
     auto index = CreateAlgorithm(name, options);
     index->Build(tw.workload.base);
-    const Graph& original = index->graph();
+    const CsrGraph& original = index->graph();
 
     const std::string path = TempPath("roundtrip.wvs");
-    ASSERT_TRUE(original.Save(path, name).ok());
+    ASSERT_TRUE(SaveGraph(original, path, name).ok());
     std::string metadata;
-    StatusOr<Graph> loaded = Graph::Load(path, &metadata);
+    StatusOr<CsrGraph> loaded = LoadGraph(path, &metadata);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     EXPECT_EQ(metadata, name);
     std::remove(path.c_str());
 
     // Bit-identical adjacency.
-    ASSERT_EQ(loaded->size(), original.size());
-    for (uint32_t v = 0; v < original.size(); ++v) {
-      ASSERT_EQ(loaded->Neighbors(v), original.Neighbors(v)) << "vertex " << v;
-    }
+    ASSERT_EQ(*loaded, original);
     EXPECT_EQ(SerializeGraph(*loaded, name), SerializeGraph(original, name));
 
     // Search over the reloaded graph (same seeds, same routing) must be
@@ -260,8 +253,8 @@ TEST(PersistenceTest, EveryRegistryAlgorithmRoundTrips) {
     for (uint32_t q = 0; q < tw.workload.queries.size(); ++q) {
       const float* query = tw.workload.queries.Row(q);
       std::vector<std::vector<uint32_t>> results;
-      const Graph* const graphs[] = {&original, &*loaded};
-      for (const Graph* graph : graphs) {
+      const CsrGraph* const graphs[] = {&original, &*loaded};
+      for (const CsrGraph* graph : graphs) {
         DistanceCounter counter;
         DistanceOracle oracle(tw.workload.base, &counter);
         ctx.BeginQuery(original.size());
@@ -276,14 +269,14 @@ TEST(PersistenceTest, EveryRegistryAlgorithmRoundTrips) {
 }
 
 TEST(PersistenceTest, SaveToUnwritablePathIsIOError) {
-  const Graph graph = MakeSmallGraph();
-  const Status status = graph.Save("/nonexistent-dir/graph.wvs");
+  const CsrGraph graph = MakeSmallGraph();
+  const Status status = SaveGraph(graph, "/nonexistent-dir/graph.wvs");
   ASSERT_FALSE(status.ok());
   EXPECT_TRUE(status.IsIOError()) << status.ToString();
 }
 
 TEST(PersistenceTest, LoadMissingFileIsIOError) {
-  StatusOr<Graph> loaded = Graph::Load(TempPath("no-such-graph.wvs"));
+  StatusOr<CsrGraph> loaded = LoadGraph(TempPath("no-such-graph.wvs"));
   ASSERT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status().ToString();
 }

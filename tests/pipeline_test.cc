@@ -3,6 +3,8 @@
 // connectivity assurance holds, and builds are deterministic under a seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/metrics.h"
 #include "pipeline/pipeline.h"
 #include "test_util.h"
@@ -172,10 +174,12 @@ TEST(PipelineTest, ReverseEdgesMakeGraphSymmetric) {
   config.connectivity = ConnectivityKind::kNone;
   PipelineIndex index("sym", config);
   index.Build(SharedWorkload().workload.base);
-  const Graph& graph = index.graph();
+  const CsrGraph& graph = index.graph();
   for (uint32_t v = 0; v < graph.size(); v += 31) {
     for (uint32_t u : graph.Neighbors(v)) {
-      EXPECT_TRUE(graph.HasEdge(u, v)) << u << "->" << v;
+      const auto back = graph.Neighbors(u);
+      EXPECT_NE(std::find(back.begin(), back.end(), v), back.end())
+          << u << "->" << v;
     }
   }
 }
@@ -186,10 +190,7 @@ TEST(PipelineTest, DeterministicUnderSeed) {
   PipelineIndex a("a", config), b("b", config);
   a.Build(SharedWorkload().workload.base);
   b.Build(SharedWorkload().workload.base);
-  ASSERT_EQ(a.graph().NumEdges(), b.graph().NumEdges());
-  for (uint32_t v = 0; v < a.graph().size(); ++v) {
-    ASSERT_EQ(a.graph().Neighbors(v), b.graph().Neighbors(v));
-  }
+  ASSERT_TRUE(a.graph() == b.graph());
   SearchParams params;
   params.k = 10;
   params.pool_size = 80;

@@ -98,7 +98,7 @@ TEST(SearchEdgeTest, ConnectivityWithIsolatedRoot) {
   const uint32_t bridges =
       EnsureReachableFrom(graph, tw.workload.base, 0, 10);
   EXPECT_GE(bridges, 1u);
-  EXPECT_TRUE(AllReachableFrom(graph, 0));
+  EXPECT_TRUE(AllReachableFrom(CsrGraph(graph), 0));
 }
 
 TEST(SearchEdgeTest, StatsPointerOptional) {

@@ -69,14 +69,6 @@ std::string MustRead(const std::string& path) {
   return bytes;
 }
 
-void ExpectSameGraph(const Graph& a, const Graph& b, const char* label) {
-  ASSERT_EQ(a.size(), b.size()) << label;
-  for (uint32_t v = 0; v < a.size(); ++v) {
-    ASSERT_EQ(a.Neighbors(v), b.Neighbors(v))
-        << label << " differs at vertex " << v;
-  }
-}
-
 // ------------------------------------------------- partitioner
 
 TEST(PartitionerTest, DisjointCoverSortedForBothKinds) {
@@ -272,8 +264,8 @@ TEST(ShardedBuildTest, BitForBitIdenticalAtAnyThreadCount) {
       reference = std::move(index);
       continue;
     }
-    ExpectSameGraph(index->graph(), reference->graph(),
-                    ("threads=" + std::to_string(threads)).c_str());
+    EXPECT_TRUE(index->graph() == reference->graph())
+        << "threads=" << threads << " differs";
   }
 }
 
@@ -349,7 +341,8 @@ TEST(ShardedPersistenceTest, SaveLoadRoundTripsSearchResults) {
   ShardedIndex& loaded = **loaded_or;
   EXPECT_EQ(loaded.num_degraded_shards(), 0u);
   EXPECT_EQ(loaded.algorithm(), "HNSW");
-  ExpectSameGraph(loaded.graph(), built->graph(), "loaded combined graph");
+  EXPECT_TRUE(loaded.graph() == built->graph())
+      << "loaded combined graph differs";
   // The built index searches hierarchically while the loaded one runs a
   // flat seeded best-first walk; they agree only when both converge to the
   // exact per-shard top-k, so give the comparison a generous pool.
@@ -421,7 +414,8 @@ TEST(ShardedPersistenceTest, RepairShardRestoresByteIdenticalFile) {
   // The rebuild reproduced the original graph bit-for-bit, so the rewritten
   // file is byte-identical — the determinism contract made visible on disk.
   EXPECT_EQ(MustRead(bad_path), original_bytes);
-  ExpectSameGraph(loaded.graph(), built->graph(), "repaired combined graph");
+  EXPECT_TRUE(loaded.graph() == built->graph())
+      << "repaired combined graph differs";
   EXPECT_TRUE(loaded.RepairShard(9).IsInvalidArgument());
 }
 

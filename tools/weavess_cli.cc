@@ -406,7 +406,7 @@ Status SaveReplicaSet(AnnIndex& index, const char* algo,
       entry.kind = ReplicaManifest::Kind::kShardManifest;
     } else {
       file = replica_prefix + ".wvs";
-      if (Status s = index.graph().Save(file, algo); !s.ok()) return s;
+      if (Status s = SaveGraph(index.graph(), file, algo); !s.ok()) return s;
       entry.kind = ReplicaManifest::Kind::kGraph;
     }
     StatusOr<uint32_t> crc = FileCrc32c(file);
@@ -451,7 +451,7 @@ int CmdBuild(const Args& args) {
               degrees.average, degrees.max, degrees.min,
               CountConnectedComponents(index->graph()));
   if (gq_k > 0) {
-    const Graph exact = BuildExactKnng(base, gq_k);
+    const CsrGraph exact(BuildExactKnng(base, gq_k));
     std::printf("GQ@%u: %.3f\n", gq_k,
                 ComputeGraphQuality(index->graph(), exact));
   }
@@ -462,7 +462,9 @@ int CmdBuild(const Args& args) {
       std::printf("sharded index saved to %s.manifest (+%u shard files)\n",
                   save, sharded->num_shards());
     } else {
-      if (Status s = index->graph().Save(save, algo); !s.ok()) return Fail(s);
+      if (Status s = SaveGraph(index->graph(), save, algo); !s.ok()) {
+        return Fail(s);
+      }
       std::printf("graph saved to %s (algorithm metadata: %s)\n", save, algo);
     }
     if (replicas > 0) {
