@@ -160,11 +160,10 @@ size_t HnswIndex::IndexMemoryBytes() const {
 
 // ------------------------------------------------------- construction
 
-uint32_t HnswIndex::GreedyStep(const float* query, uint32_t entry,
+Neighbor HnswIndex::GreedyStep(const float* query, Neighbor entry,
                                uint32_t level, RowOracle& oracle,
                                SearchContext& ctx) const {
-  uint32_t current = entry;
-  float current_dist = oracle.ToQuery(query, current);
+  Neighbor current = entry;
   bool improved = true;
   while (improved) {
     if (ctx.BudgetExhausted()) {
@@ -173,11 +172,10 @@ uint32_t HnswIndex::GreedyStep(const float* query, uint32_t entry,
     }
     improved = false;
     ++ctx.hops;
-    for (uint32_t neighbor : Links(current, level)) {
+    for (uint32_t neighbor : Links(current.id, level)) {
       const float dist = oracle.ToQuery(query, neighbor);
-      if (dist < current_dist) {
-        current = neighbor;
-        current_dist = dist;
+      if (dist < current.distance) {
+        current = Neighbor(neighbor, dist);
         improved = true;
       }
     }
@@ -185,19 +183,20 @@ uint32_t HnswIndex::GreedyStep(const float* query, uint32_t entry,
   return current;
 }
 
-uint32_t HnswIndex::SelectAt(const float* query, uint32_t point,
-                             uint32_t entry, uint32_t level,
+Neighbor HnswIndex::SelectAt(const float* query, uint32_t point,
+                             Neighbor entry, uint32_t level,
                              RowOracle& oracle, SearchScratch& scratch,
                              std::vector<Neighbor>& selected) const {
   SearchContext& ctx = scratch.ctx;
   CandidatePool& pool = scratch.pool;
   ctx.BeginQuery(num_points_);
   pool.Reset(params_.ef_construction);
-  ctx.visited.MarkVisited(entry);
-  pool.Insert(Neighbor(entry, oracle.ToQuery(query, entry)));
+  ctx.visited.MarkVisited(entry.id);
+  pool.Insert(entry);
   BestFirstSearch(Layer{*this, level}, query, oracle, ctx, pool);
   SelectRng(oracle, point, pool.entries(), params_.m, 1.0f, selected);
-  return pool.entries().empty() ? entry : pool[0].id;
+  // Unchecked: the level below expands it afresh.
+  return Neighbor(pool[0].id, pool[0].distance);
 }
 
 void HnswIndex::Connect(uint32_t point, uint32_t level,
@@ -244,7 +243,7 @@ void HnswIndex::Insert(uint32_t begin, uint32_t end, uint32_t workers) {
     SearchScratch& slot = scratch.workers[worker].search;
     const float* query = Row(point);
     const uint32_t level = Level(point);
-    uint32_t entry = frozen_entry;
+    Neighbor entry(frozen_entry, oracle.ToQuery(query, frozen_entry));
     // Phase 1: greedy descent through frozen layers above `level`.
     for (uint32_t l = frozen_max; l > level; --l) {
       entry = GreedyStep(query, entry, l, oracle, slot.ctx);
@@ -265,10 +264,10 @@ void HnswIndex::Insert(uint32_t begin, uint32_t end, uint32_t workers) {
   SearchScratch& slot = scratch.workers[0].search;
   for (uint32_t point = begin; point < end; ++point) {
     const uint32_t level = Level(point);
-    if (level > frozen_max) {
-      // Layers the frozen search could not see. Earlier batch members may
-      // have raised the hierarchy by now, so search them live.
-      uint32_t entry = entry_point_;
+    if (std::min(level, max_level_) > frozen_max) {
+      // Layers the frozen search could not see, which earlier batch
+      // members have raised since: search them live.
+      Neighbor entry(entry_point_, oracle.ToQuery(Row(point), entry_point_));
       for (uint32_t l = max_level_; l > level; --l) {
         entry = GreedyStep(Row(point), entry, l, oracle, slot.ctx);
       }
@@ -400,39 +399,33 @@ std::vector<uint32_t> HnswIndex::SearchWith(SearchScratch& scratch,
                                             const float* query,
                                             const SearchParams& params,
                                             QueryStats* stats) const {
-  std::vector<uint32_t> result;
-  if (stats != nullptr) {
-    stats->distance_evals = 0;
-    stats->hops = 0;
-    stats->truncated = false;
-  }
-  if (live_size() == 0) return result;
   SearchContext& ctx = scratch.ctx;
   ctx.BeginQuery(num_points_);
-  DistanceCounter counter;
-  RowOracle oracle(*this, &counter);
-  ctx.ArmBudget(params.max_distance_evals, params.time_budget_us, &counter,
+  ctx.ArmBudget(params.max_distance_evals, params.time_budget_us,
                 params.clock);
-  uint32_t entry = entry_point_;
-  for (uint32_t l = max_level_; l > 0; --l) {
-    entry = GreedyStep(query, entry, l, oracle, ctx);
-  }
   // Oversize the pool slightly so tombstones do not crowd out live
   // results; they are filtered only from the extracted top-k.
   const uint32_t slack =
       std::min(num_deleted_, std::max(params.pool_size / 2, 8u));
   CandidatePool& pool = scratch.pool;
   pool.Reset(std::max(params.pool_size, params.k) + slack);
-  SeedPool({entry}, query, oracle, ctx, pool);
-  BestFirstSearch(Layer{*this, 0}, query, oracle, ctx, pool);
+  if (live_size() > 0) {
+    RowOracle oracle(*this, &ctx.counter);
+    // C6: the greedy descent through the upper levels hands each level's
+    // closest vertex down already scored, and seeds level 0 with it.
+    Neighbor entry(entry_point_, oracle.ToQuery(query, entry_point_));
+    for (uint32_t l = max_level_; l > 0; --l) {
+      entry = GreedyStep(query, entry, l, oracle, ctx);
+    }
+    if (AdmitSeed(entry.id, ctx)) pool.Insert(entry);
+    // C7: best-first routing on level 0.
+    BestFirstSearch(Layer{*this, 0}, query, oracle, ctx, pool);
+  }
+  ctx.WriteStats(stats);
+  std::vector<uint32_t> result;
   for (const Neighbor& candidate : pool.entries()) {
     if (result.size() == params.k) break;
     if (!IsDeleted(candidate.id)) result.push_back(candidate.id);
-  }
-  if (stats != nullptr) {
-    stats->distance_evals = counter.count;
-    stats->hops = ctx.hops;
-    stats->truncated = ctx.truncated;
   }
   return result;
 }

@@ -111,9 +111,10 @@ class HnswIndex : public AnnIndex {
   /// vectors.
   std::vector<uint32_t> Compact();
 
-  /// k nearest *live* ids: greedy descent through the upper levels, then
-  /// best-first search at level 0. Returns empty when no id is live.
-  /// Honors SearchParams budgets including params.clock.
+  /// k nearest *live* ids: greedy descent through the upper levels (seed
+  /// acquisition, C6), then best-first search at level 0 (routing, C7).
+  /// Returns empty when no id is live. Honors SearchParams budgets
+  /// including params.clock.
   std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
                                    const SearchParams& params,
                                    QueryStats* stats = nullptr) const override;
@@ -277,12 +278,14 @@ class HnswIndex : public AnnIndex {
   // a parallel search phase over the frozen prefix, then an id-ordered
   // commit. A batch of one runs inline.
   void Insert(uint32_t begin, uint32_t end, uint32_t workers);
-  // Greedy ef=1 descent on `level`, returning the closest vertex found.
-  uint32_t GreedyStep(const float* query, uint32_t entry, uint32_t level,
+  // Greedy ef=1 descent on `level` from the scored `entry` (not scored
+  // again), returning the closest vertex found with its distance.
+  Neighbor GreedyStep(const float* query, Neighbor entry, uint32_t level,
                       RowOracle& oracle, SearchContext& ctx) const;
-  // ef_construction search of `level` from `entry`, then RNG selection of
-  // point's neighbours into `selected`. Returns the next level's entry.
-  uint32_t SelectAt(const float* query, uint32_t point, uint32_t entry,
+  // ef_construction search of `level` from the scored `entry`, then RNG
+  // selection of point's neighbours into `selected`. Returns the next
+  // level's entry, scored.
+  Neighbor SelectAt(const float* query, uint32_t point, Neighbor entry,
                     uint32_t level, RowOracle& oracle, SearchScratch& scratch,
                     std::vector<Neighbor>& selected) const;
   void Connect(uint32_t point, uint32_t level,

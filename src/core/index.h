@@ -46,27 +46,6 @@ struct SearchParams {
   const Clock* clock = nullptr;
 };
 
-/// Per-query measurements backing Speedup (= |S| / distance_evals) and the
-/// query-path-length metric PL (= hops, expanded vertices).
-struct QueryStats {
-  uint64_t distance_evals = 0;
-  uint64_t hops = 0;
-  /// NDC split for quantized two-stage search: evaluations spent on SQ8
-  /// codes during traversal vs exact float evaluations spent re-ranking
-  /// the candidate pool. distance_evals is their sum for quantized
-  /// indexes; both stay 0 for float indexes.
-  uint64_t quantized_evals = 0;
-  uint64_t rescore_evals = 0;
-  /// True when a SearchParams budget tripped and the results are the
-  /// best-so-far prefix of the walk rather than a converged search.
-  bool truncated = false;
-  /// True when the result was produced in a degraded serving mode: a
-  /// quality tier below full (degradation ladder) or the brute-force
-  /// fallback after an index-load failure (search/serving.h). Algorithms
-  /// never set this themselves; the serving layer owns it.
-  bool degraded = false;
-};
-
 /// Construction-side measurements.
 struct BuildStats {
   double seconds = 0.0;

@@ -20,6 +20,27 @@
 
 namespace weavess {
 
+/// Per-query measurements backing Speedup (= |S| / distance_evals) and the
+/// query-path-length metric PL (= hops, expanded vertices).
+struct QueryStats {
+  uint64_t distance_evals = 0;
+  uint64_t hops = 0;
+  /// NDC split for quantized two-stage search: evaluations spent on SQ8
+  /// codes during traversal vs exact float evaluations spent re-ranking
+  /// the candidate pool. distance_evals is their sum for quantized
+  /// indexes; both stay 0 for float indexes.
+  uint64_t quantized_evals = 0;
+  uint64_t rescore_evals = 0;
+  /// True when a SearchParams budget tripped and the results are the
+  /// best-so-far prefix of the walk rather than a converged search.
+  bool truncated = false;
+  /// True when the result was produced in a degraded serving mode: a
+  /// quality tier below full (degradation ladder) or the brute-force
+  /// fallback after an index-load failure (search/serving.h). Algorithms
+  /// never set this themselves; the serving layer owns it.
+  bool degraded = false;
+};
+
 /// Per-query scratch state: visited stamps, the NDC counter behind the
 /// Speedup metric, the hop counter behind the query-path-length metric
 /// (PL in Table 5 counts expanded vertices along the search), and the
@@ -30,45 +51,51 @@ struct SearchContext {
   explicit SearchContext(uint32_t num_vertices) : visited(num_vertices) {}
 
   /// Call once per query before seeding, with the vertex count of the index
-  /// being searched: the visited list grows to cover it. Resets the budget
-  /// to unlimited; arm it afterwards with ArmBudget when the caller set one.
+  /// being searched: the visited list grows to cover it. Zeroes the query's
+  /// counters and leaves the budget unlimited; arm it afterwards with
+  /// ArmBudget when the caller set one.
   void BeginQuery(uint32_t num_vertices) {
     visited.Grow(num_vertices);
     visited.Reset();
+    counter.count = 0;
     hops = 0;
     truncated = false;
     budget = SearchBudget::Unlimited();
-    budget_counter = nullptr;
   }
 
-  /// Arms the per-query budget. `counter` is the DistanceCounter the
-  /// query's oracle writes into (routing charges its spend there). A null
-  /// `clock` measures time_budget_us against the process SteadyClock;
-  /// tests pass a VirtualClock for deterministic wall-clock truncation.
+  /// Arms the per-query budget against `counter`, which the query's oracle
+  /// writes into. A null `clock` measures time_budget_us against the
+  /// process SteadyClock; tests pass a VirtualClock for deterministic
+  /// wall-clock truncation.
   void ArmBudget(uint64_t max_distance_evals, uint64_t time_budget_us,
-                 const DistanceCounter* counter,
                  const Clock* clock = nullptr) {
     budget = SearchBudget::FromLimits(max_distance_evals, time_budget_us,
                                       clock);
-    budget_counter = counter;
   }
 
   /// True once routing must stop. Routers call this before each vertex
   /// expansion and set `truncated` when it trips with work remaining.
   bool BudgetExhausted() const {
-    if (budget.unlimited()) return false;
-    const uint64_t evals =
-        budget_counter != nullptr ? budget_counter->count : 0;
-    return budget.Exhausted(evals);
+    return !budget.unlimited() && budget.Exhausted(counter.count);
+  }
+
+  /// Writes this query's distance_evals, hops and truncated flag into
+  /// `stats`, when given.
+  void WriteStats(QueryStats* stats) const {
+    if (stats == nullptr) return;
+    stats->distance_evals = counter.count;
+    stats->hops = hops;
+    stats->truncated = truncated;
   }
 
   VisitedList visited;
+  /// The query's distance evaluations: its oracle counts into this, and
+  /// the budget is measured against it.
   DistanceCounter counter;
   uint64_t hops = 0;
   /// Set by routers when the budget stopped the walk before convergence.
   bool truncated = false;
   SearchBudget budget;
-  const DistanceCounter* budget_counter = nullptr;
   /// Scratch for the routers' batched expansion step (search/router.h):
   /// the unvisited neighbors of the vertex being expanded and their
   /// batch-evaluated distances. Reused across expansions and queries so

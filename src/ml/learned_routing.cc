@@ -71,10 +71,9 @@ std::vector<uint32_t> LearnedRoutingIndex::SearchWith(
   const CsrGraph& graph = base_->graph();
   SearchContext& ctx = scratch.ctx;
   ctx.BeginQuery(data_->size());
-  DistanceCounter counter;
-  DistanceOracle oracle(*data_, &counter);
-  ctx.ArmBudget(params.max_distance_evals, params.time_budget_us, &counter,
+  ctx.ArmBudget(params.max_distance_evals, params.time_budget_us,
                 params.clock);
+  DistanceOracle oracle(*data_, &ctx.counter);
 
   // Query embedding: m true distance evaluations, paid once per query.
   const uint32_t m = params_.num_landmarks;
@@ -122,11 +121,7 @@ std::vector<uint32_t> LearnedRoutingIndex::SearchWith(
       pool.Insert(Neighbor(neighbor, oracle.ToQuery(query, neighbor)));
     }
   }
-  if (stats != nullptr) {
-    stats->distance_evals = counter.count;
-    stats->hops = ctx.hops;
-    stats->truncated = ctx.truncated;
-  }
+  ctx.WriteStats(stats);
   return ExtractTopK(pool, params.k);
 }
 

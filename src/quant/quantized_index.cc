@@ -22,12 +22,11 @@ QuantizedIndex::QuantizedIndex(const std::string& inner_name,
 
 QuantizedIndex::QuantizedIndex(CsrGraph graph, QuantizedDataset codes,
                                const Dataset& data, std::string metadata)
-    : loaded_graph_(std::move(graph)),
-      metadata_(std::move(metadata)),
-      graph_view_(&loaded_graph_),
+    : metadata_(std::move(metadata)),
+      graph_(std::move(graph)),
       codes_(std::move(codes)),
       data_(&data) {
-  WEAVESS_CHECK(codes_.size() == loaded_graph_.size() &&
+  WEAVESS_CHECK(codes_.size() == graph_.size() &&
                 codes_.size() == data.size() && codes_.dim() == data.dim() &&
                 "codes must cover the graph's vertices and the dataset");
 }
@@ -35,28 +34,28 @@ QuantizedIndex::QuantizedIndex(CsrGraph graph, QuantizedDataset codes,
 QuantizedIndex::~QuantizedIndex() = default;
 
 void QuantizedIndex::Build(const Dataset& data) {
-  WEAVESS_CHECK(graph_view_ == nullptr && "index is already built");
+  WEAVESS_CHECK(data_ == nullptr && "index is already built");
   WEAVESS_CHECK(options_ != nullptr && "load-path indexes are already built");
-  inner_ = CreateAlgorithm(inner_name_, *options_);
-  inner_->Build(data);
+  {
+    // Only the graph outlives the inner index: it is released before the
+    // codes are encoded.
+    const std::unique_ptr<AnnIndex> inner =
+        CreateAlgorithm(inner_name_, *options_);
+    inner->Build(data);
+    graph_ = inner->graph();
+    build_stats_ = inner->build_stats();
+  }
   codes_ = SQ8Codec::Train(data).Encode(data);
-  graph_view_ = &inner_->graph();
   data_ = &data;
 }
 
 const CsrGraph& QuantizedIndex::graph() const {
-  WEAVESS_CHECK(graph_view_ != nullptr && "index is not built");
-  return *graph_view_;
+  WEAVESS_CHECK(data_ != nullptr && "index is not built");
+  return graph_;
 }
 
 size_t QuantizedIndex::IndexMemoryBytes() const {
-  return codes_.MemoryBytes() + (inner_ != nullptr
-                                     ? inner_->IndexMemoryBytes()
-                                     : loaded_graph_.MemoryBytes());
-}
-
-BuildStats QuantizedIndex::build_stats() const {
-  return inner_ != nullptr ? inner_->build_stats() : BuildStats{};
+  return codes_.MemoryBytes() + graph_.MemoryBytes();
 }
 
 std::string QuantizedIndex::name() const {
@@ -68,21 +67,19 @@ std::vector<uint32_t> QuantizedIndex::SearchWith(SearchScratch& scratch,
                                                  const float* query,
                                                  const SearchParams& params,
                                                  QueryStats* stats) const {
-  WEAVESS_CHECK(graph_view_ != nullptr && "index is not built");
+  WEAVESS_CHECK(data_ != nullptr && "index is not built");
   SearchContext& ctx = scratch.ctx;
   ctx.BeginQuery(codes_.size());
+  ctx.ArmBudget(params.max_distance_evals, params.time_budget_us,
+                params.clock);
 
   // Stage 1: best-first traversal over SQ8 codes. The query is encoded
   // once with the stored codec, so every traversal evaluation is a pure
-  // uint8 comparison; the search budget arms against quantized evaluations
-  // — they are the traversal's work.
+  // uint8 comparison; the context counts (and budgets) quantized
+  // evaluations — they are the traversal's work.
   ctx.query_code.resize(codes_.dim());
   codes_.EncodeQuery(query, ctx.query_code.data());
-  DistanceCounter quantized_counter;
-  QuantizedOracle quantized(codes_, ctx.query_code.data(),
-                            &quantized_counter);
-  ctx.ArmBudget(params.max_distance_evals, params.time_budget_us,
-                &quantized_counter, params.clock);
+  QuantizedOracle quantized(codes_, ctx.query_code.data(), &ctx.counter);
   const uint32_t k = params.k;
   const uint32_t rescore_factor = std::max<uint32_t>(1, params.rescore_factor);
   const uint64_t rescore_want64 = static_cast<uint64_t>(rescore_factor) * k;
@@ -97,7 +94,7 @@ std::vector<uint32_t> QuantizedIndex::SearchWith(SearchScratch& scratch,
   // evaluated at quantized distance.
   SeedPool(QuerySeedIds(query, codes_.dim(), codes_.size(), num_seeds_, seed_),
            query, quantized, ctx, pool);
-  BestFirstSearch(*graph_view_, query, quantized, ctx, pool);
+  BestFirstSearch(graph_, query, quantized, ctx, pool);
 
   // Stage 2: exact float rescoring of the closest rescore_want quantized
   // candidates. Rescore work is accounted separately (rescore_evals) and
@@ -121,12 +118,11 @@ std::vector<uint32_t> QuantizedIndex::SearchWith(SearchScratch& scratch,
   // id, keeping the final ranking deterministic.
   std::sort(rescored.begin(), rescored.end());
 
+  ctx.WriteStats(stats);
   if (stats != nullptr) {
-    stats->quantized_evals = quantized_counter.count;
+    stats->quantized_evals = ctx.counter.count;
     stats->rescore_evals = rescore_counter.count;
-    stats->distance_evals = quantized_counter.count + rescore_counter.count;
-    stats->hops = ctx.hops;
-    stats->truncated = ctx.truncated;
+    stats->distance_evals += rescore_counter.count;
   }
   std::vector<uint32_t> result;
   result.reserve(std::min<size_t>(k, rescored.size()));

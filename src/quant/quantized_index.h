@@ -4,13 +4,12 @@
 // distances before the final top-k (docs/QUANTIZATION.md).
 //
 // Two construction paths share one search routine:
-//   - registry: `SQ8:<Algo>` builds the inner algorithm's graph on floats,
-//     then trains an SQ8Codec over the same dataset and drops the float
-//     rows from the hot path;
+//   - registry: `SQ8:<Algo>` builds the inner algorithm on floats, keeps
+//     its graph() and build stats, releases it, then trains an SQ8Codec
+//     over the same dataset and drops the float rows from the hot path;
 //   - load: a deserialized graph + WVSSQNT1 codes (serving snapshots,
 //     ServingEngine::FromSavedGraphWithCodes).
-// Either way the traversal walks one CsrGraph: the inner index's graph()
-// on the registry path, the loaded graph on the load path.
+// Either way the index holds the one CsrGraph its traversal walks.
 //
 // Search stays a pure function of (index, query bytes, params): seeds are
 // query-hash-derived and both stages evaluate through the bit-for-bit
@@ -55,13 +54,12 @@ class QuantizedIndex final : public AnnIndex {
 
   const CsrGraph& graph() const override;
 
-  /// Code storage + the inner index (registry path) or the loaded graph
-  /// (load path). The float rows are excluded (shared by every index
-  /// equally), which is what makes the ~4x code-vs-float comparison
-  /// visible through CodeMemoryBytes().
+  /// Code storage + the routed graph. The float rows are excluded (shared
+  /// by every index equally), which is what makes the ~4x code-vs-float
+  /// comparison visible through CodeMemoryBytes().
   size_t IndexMemoryBytes() const override;
 
-  BuildStats build_stats() const override;
+  BuildStats build_stats() const override { return build_stats_; }
 
   std::string name() const override;
 
@@ -75,15 +73,13 @@ class QuantizedIndex final : public AnnIndex {
   // Registry path state (unused on the load path).
   std::string inner_name_;
   std::unique_ptr<AlgorithmOptions> options_;
-  std::unique_ptr<AnnIndex> inner_;
+  BuildStats build_stats_;
 
   // Load path state.
-  CsrGraph loaded_graph_;
   std::string metadata_;
 
-  // Shared search state, set by Build() or the load constructor: the graph
-  // the traversal walks, inner_->graph() or loaded_graph_.
-  const CsrGraph* graph_view_ = nullptr;
+  // Shared search state, set by Build() or the load constructor.
+  CsrGraph graph_;
   QuantizedDataset codes_;
   const Dataset* data_ = nullptr;
   uint32_t num_seeds_ = 10;

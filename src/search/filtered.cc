@@ -55,12 +55,11 @@ std::vector<uint32_t> FilteredSearcher::Search(const float* query,
   const std::vector<uint32_t> entries =
       index_->Search(query, probe, &probe_stats);
 
-  DistanceCounter counter;
-  DistanceOracle oracle(*data_, &counter);
   SearchContext ctx;
   ctx.BeginQuery(data_->size());
-  ctx.ArmBudget(params.max_distance_evals, params.time_budget_us, &counter,
+  ctx.ArmBudget(params.max_distance_evals, params.time_budget_us,
                 params.clock);
+  DistanceOracle oracle(*data_, &ctx.counter);
   const CsrGraph& graph = index_->graph();
   CandidatePool routing(std::max(params.pool_size, params.k));
   CandidatePool results(std::max(params.k, 1u));
@@ -87,10 +86,11 @@ std::vector<uint32_t> FilteredSearcher::Search(const float* query,
       offer(neighbor, oracle.ToQuery(query, neighbor));
     }
   }
-  if (stats != nullptr) {
-    stats->distance_evals = probe_stats.distance_evals + counter.count;
-    stats->hops = probe_stats.hops + ctx.hops;
-    stats->truncated = probe_stats.truncated || ctx.truncated;
+  ctx.WriteStats(stats);
+  if (stats != nullptr) {  // the probe's work is the query's too
+    stats->distance_evals += probe_stats.distance_evals;
+    stats->hops += probe_stats.hops;
+    stats->truncated |= probe_stats.truncated;
   }
   return results.TopIds(params.k);
 }

@@ -31,19 +31,14 @@ std::vector<uint32_t> GraphIndex::SearchWith(SearchScratch& scratch,
   WEAVESS_CHECK(seeds_ != nullptr && "index is not built");
   SearchContext& ctx = scratch.ctx;
   ctx.BeginQuery(csr_.size());
-  DistanceCounter counter;
-  DistanceOracle oracle(*data_, &counter);
-  ctx.ArmBudget(params.max_distance_evals, params.time_budget_us, &counter,
+  ctx.ArmBudget(params.max_distance_evals, params.time_budget_us,
                 params.clock);
+  DistanceOracle oracle(*data_, &ctx.counter);
   CandidatePool& pool = scratch.pool;
   pool.Reset(std::max(params.pool_size, params.k));
   seeds_->Seed(query, oracle, ctx, pool);
   Route(query, params, oracle, ctx, pool);
-  if (stats != nullptr) {
-    stats->distance_evals = counter.count;
-    stats->hops = ctx.hops;
-    stats->truncated = ctx.truncated;
-  }
+  ctx.WriteStats(stats);
   return ExtractTopK(pool, params.k);
 }
 

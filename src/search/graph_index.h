@@ -3,8 +3,10 @@
 // index's one CsrGraph, per-query stats — shared by the nine pipeline
 // algorithms, NGT, HCNNG, k-DR, NSW, SPTAG and graphs loaded from disk.
 // Holding the frame fixed is what lets the paper compare seeding and
-// routing strategies in isolation (Fig. 10). HNSW keeps its own frame (its
-// paged store grows and tombstones); so do the SQ8, sharded and ML wrappers.
+// routing strategies in isolation (Fig. 10). HNSW runs the same stages in
+// its own SearchWith (its paged store grows and tombstones): the descent
+// seeds, level 0 routes. The SQ8, sharded and ML wrappers have their own
+// frames too; every frame counts a query's work in its SearchContext.
 #ifndef WEAVESS_SEARCH_GRAPH_INDEX_H_
 #define WEAVESS_SEARCH_GRAPH_INDEX_H_
 

@@ -32,6 +32,15 @@
 
 namespace weavess {
 
+/// Marks `id` visited and traces it as a seed; false when it already was
+/// visited. SeedPool's per-entry step, also taken by seed stages whose
+/// entry arrives scored (HNSW's descent).
+inline bool AdmitSeed(uint32_t id, SearchContext& ctx) {
+  if (ctx.visited.CheckAndMark(id)) return false;
+  if (ctx.trace != nullptr) ctx.trace->Record(TraceEventKind::kSeed, id);
+  return true;
+}
+
 /// Evaluates `ids` against the query and inserts them into the pool,
 /// marking them visited. The common entry step for all routers. Templated
 /// on the oracle (DistanceOracle over float rows or QuantizedOracle over
@@ -40,9 +49,9 @@ template <typename OracleT>
 void SeedPool(const std::vector<uint32_t>& ids, const float* query,
               OracleT& oracle, SearchContext& ctx, CandidatePool& pool) {
   for (uint32_t id : ids) {
-    if (ctx.visited.CheckAndMark(id)) continue;
-    if (ctx.trace != nullptr) ctx.trace->Record(TraceEventKind::kSeed, id);
-    pool.Insert(Neighbor(id, oracle.ToQuery(query, id)));
+    if (AdmitSeed(id, ctx)) {
+      pool.Insert(Neighbor(id, oracle.ToQuery(query, id)));
+    }
   }
 }
 
@@ -60,9 +69,7 @@ inline void TraceExpand(SearchContext& ctx, uint32_t vertex) {
 
 inline void TraceTruncated(SearchContext& ctx) {
   if (ctx.trace != nullptr) {
-    const uint64_t evals =
-        ctx.budget_counter != nullptr ? ctx.budget_counter->count : 0;
-    ctx.trace->Record(TraceEventKind::kTruncated, 0, evals);
+    ctx.trace->Record(TraceEventKind::kTruncated, 0, ctx.counter.count);
   }
 }
 

@@ -178,7 +178,7 @@ const std::map<std::string, TracePin>& TracePins() {
       {"NSW", {0x2fa4941e972fbbf3ULL, 0x8d7db26b1b0b9b63ULL}},
       {"IEH", {0x622c636cc328baf1ULL, 0x2fd2e7c9cd833808ULL}},
       {"FANNG", {0x60837e2fd29a0788ULL, 0x16abc09f06754e6aULL}},
-      {"HNSW", {0xf203038180756b17ULL, 0x560f9230a55d8058ULL}},
+      {"HNSW", {0x116ed5256b4a67a6ULL, 0x507d7cf032f68672ULL}},
       {"EFANNA", {0xb4a449e4e81c9e17ULL, 0xe03c29c4074b1ae0ULL}},
       {"DPG", {0x2e4983cd8390a032ULL, 0xfe3f3f42ce5776c0ULL}},
       {"NSG", {0xb203f6253fbaef33ULL, 0xc5edc3c4dac3ecefULL}},
@@ -187,7 +187,7 @@ const std::map<std::string, TracePin>& TracePins() {
       {"NSSG", {0x8753fcbd2841853dULL, 0x76775c14fbebe6ceULL}},
       {"k-DR", {0x88d30486eed6453fULL, 0x951dde9eed9e3207ULL}},
       {"OA", {0xefb4240b7bc508f5ULL, 0x8664115a9c4bb9d8ULL}},
-      {"Dynamic:HNSW", {0x2c3f5e1b04199697ULL, 0xf67b0455c45af2a4ULL}},
+      {"Dynamic:HNSW", {0xa9629322df38ebaeULL, 0x0e900c216f378890ULL}},
       {"SQ8:NSG", {0xc42f10df98ad5ef8ULL, 0x01688a352e4900a5ULL}},
       {"LoadedGraph:NSG", {0xb0961e902715acefULL, 0x23e70b8322546648ULL}},
   };
@@ -237,11 +237,11 @@ TEST_P(IndexSizeTest, CountsEachEdgeOnce) {
                          graph_index->seeds().MemoryBytes());
   } else if (const auto* sq8 =
                  dynamic_cast<const QuantizedIndex*>(index.get())) {
-    // The inner index, routed on as it is, plus the codes.
+    // The inner index's graph, routed on as it is, plus the codes.
     auto inner = CreateAlgorithm(GetParam().substr(4), options);
     inner->Build(base);
     EXPECT_TRUE(sq8->graph() == inner->graph());
-    EXPECT_EQ(bytes, inner->IndexMemoryBytes() + sq8->CodeMemoryBytes());
+    EXPECT_EQ(bytes, sq8->graph().MemoryBytes() + sq8->CodeMemoryBytes());
   } else if (const auto* sharded =
                  dynamic_cast<const ShardedIndex*>(index.get())) {
     // The composed CSR + per shard: id map, row subset and inner index

@@ -73,9 +73,9 @@ TEST(BudgetTest, EveryAlgorithmHonorsEvalBudget) {
     EXPECT_LE(stats.distance_evals, full_stats.distance_evals)
         << "budgeted search did not spend less than the converged search";
     if (name == "HNSW" || name == "Dynamic:HNSW") {
-      // The upper-level descent checks the budget too, so the spend stays
-      // within one adjacency list of the cap.
-      EXPECT_LE(stats.distance_evals, options.max_degree);
+      // The descent scores the entry point once and checks the budget
+      // before every upper-level step, so one eval is all it spends.
+      EXPECT_EQ(stats.distance_evals, 1u);
     }
   }
 }
@@ -122,11 +122,10 @@ TEST(BudgetTest, DisconnectedGraphPartialResults) {
   graph.AddEdge(2, 0);
   // Every other vertex is isolated: unreachable from the seed component.
 
-  DistanceCounter counter;
-  DistanceOracle oracle(base, &counter);
   SearchContext ctx(base.size());
   ctx.BeginQuery(base.size());
-  ctx.ArmBudget(/*max_distance_evals=*/2, /*time_budget_us=*/0, &counter);
+  ctx.ArmBudget(/*max_distance_evals=*/2, /*time_budget_us=*/0);
+  DistanceOracle oracle(base, &ctx.counter);
   CandidatePool pool(100);
   SeedPool({0}, tw.workload.queries.Row(1), oracle, ctx, pool);
   BestFirstSearch(graph, tw.workload.queries.Row(1), oracle, ctx, pool);
@@ -211,12 +210,10 @@ TEST(BudgetTest, VirtualClockExpiryTruncatesImmediately) {
   for (uint32_t v = 0; v + 1 < base.size(); ++v) graph.AddEdge(v, v + 1);
 
   VirtualClock clock(1000);
-  DistanceCounter counter;
-  DistanceOracle oracle(base, &counter);
   SearchContext ctx(base.size());
   ctx.BeginQuery(base.size());
-  ctx.ArmBudget(/*max_distance_evals=*/0, /*time_budget_us=*/5, &counter,
-                &clock);
+  ctx.ArmBudget(/*max_distance_evals=*/0, /*time_budget_us=*/5, &clock);
+  DistanceOracle oracle(base, &ctx.counter);
   clock.AdvanceMicros(100);  // deadline (1005) is now in the past
   CandidatePool pool(100);
   SeedPool({0}, tw.workload.queries.Row(0), oracle, ctx, pool);

@@ -301,13 +301,15 @@ TEST(HnswMemoryTest, IndexBytesExcludeTheRows) {
 // ------------------------------------------------------------------ pins
 //
 // DynamicHnswPinTest pins the exact structures, construction spend and
-// search traces of seeded add/remove/compact scripts, recorded from the
-// original per-vertex-vector store. The walk it hashes is layout-
-// independent (per vertex: level, neighbour lists per level in order,
-// tombstone bit, row bytes; plus entry point and max level), so any storage
-// layout that keeps GreedyStep/SearchLevel/Connect and the RNG stream
-// unchanged reproduces every pin. A moved pin means the insertion logic,
-// not just the layout, changed.
+// search traces of seeded add/remove/compact scripts. The structures, ids
+// and hops were recorded from the original per-vertex-vector store; the
+// build evals and NDC were re-recorded once the descent scored each vertex
+// once, and fell by exactly the entry re-scores that removed (per query,
+// one per upper level). The walk it hashes is layout-independent (per
+// vertex: level, neighbour lists per level in order, tombstone bit, row
+// bytes; plus entry point and max level), so any storage layout that keeps
+// GreedyStep/SelectAt/Connect and the RNG stream unchanged reproduces every
+// pin. A moved pin means the insertion logic, not just the layout, changed.
 
 uint64_t SplitMix(uint64_t& state) {
   uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
@@ -481,12 +483,12 @@ TEST(DynamicHnswPinTest, RandomRows) {
   scenario.params.ef_construction = 48;
   scenario.params.seed = 7;
   RunPinScenario(scenario, 3000, 4,
-                 {2699, 2347, 2160576, 17132265241297694461ULL,
-                  16265111265311753115ULL, 25549, 3364},
-                 {2605, 2564, 3663334, 8291743264926401499ULL,
-                  11798201346746846471ULL, 25541, 3390},
-                 {2719, 2325, 2174469, 8399253257222539274ULL,
-                  1864223178690237685ULL, 25571, 3363});
+                 {2699, 2347, 2150077, 17132265241297694461ULL,
+                  16265111265311753115ULL, 25349, 3364},
+                 {2605, 2564, 3645326, 8291743264926401499ULL,
+                  11798201346746846471ULL, 25341, 3390},
+                 {2719, 2325, 2163890, 8399253257222539274ULL,
+                  1864223178690237685ULL, 25371, 3363});
 }
 
 TEST(DynamicHnswPinTest, DuplicateHeavyRows) {
@@ -495,12 +497,12 @@ TEST(DynamicHnswPinTest, DuplicateHeavyRows) {
   scenario.params.ef_construction = 32;
   scenario.params.seed = 9;
   RunPinScenario(scenario, 2400, 3,
-                 {2095, 1725, 371864, 18445407316666555407ULL,
-                  5551441567055039742ULL, 4950, 3827},
-                 {1988, 1945, 606699, 9596611886328369314ULL,
-                  13020623094533094137ULL, 4947, 3663},
-                 {2115, 1711, 374321, 17832624195357939462ULL,
-                  10899395302806898964ULL, 4984, 3843});
+                 {2095, 1725, 359150, 18445407316666555407ULL,
+                  5551441567055039742ULL, 4750, 3827},
+                 {1988, 1945, 585664, 9596611886328369314ULL,
+                  13020623094533094137ULL, 4747, 3663},
+                 {2115, 1711, 361527, 17832624195357939462ULL,
+                  10899395302806898964ULL, 4784, 3843});
 }
 
 TEST(DynamicHnswPinTest, TinySetBelowOnePage) {
@@ -509,12 +511,12 @@ TEST(DynamicHnswPinTest, TinySetBelowOnePage) {
   PinScenario scenario = RandomRows(48, 5, 303);
   scenario.pool_size = 16;
   RunPinScenario(scenario, 40, 3,
-                 {34, 28, 1987, 18195057161100427442ULL,
-                  18218183088666133276ULL, 1934, 1234},
-                 {35, 35, 3971, 4502966199711436254ULL,
-                  3750322780069344731ULL, 1889, 951},
-                 {42, 15, 2833, 16938298553047388370ULL,
-                  9340143935122873597ULL, 2334, 1337});
+                 {34, 28, 1926, 18195057161100427442ULL,
+                  18218183088666133276ULL, 1834, 1234},
+                 {35, 35, 3857, 4502966199711436254ULL,
+                  3750322780069344731ULL, 1789, 951},
+                 {42, 15, 2756, 16938298553047388370ULL,
+                  9340143935122873597ULL, 2234, 1337});
 }
 
 TEST(DynamicHnswPinTest, CompactToEmptyThenRegrow) {
@@ -529,16 +531,16 @@ TEST(DynamicHnswPinTest, CompactToEmptyThenRegrow) {
   EXPECT_EQ(index.size(), 0u);
   RunScript(index, scenario, 30, 60, 6, 5, 45);
   ExpectPin(Capture(index, scenario),
-            {27, 26, 2475, 2425831933274327265ULL, 1345820407447755370ULL,
-             1998, 1181},
+            {27, 26, 2320, 2425831933274327265ULL, 1345820407447755370ULL,
+             1748, 1181},
             "regrown");
 }
 
 // HnswPinTest pins the static batched build the same way: the hierarchy
 // (per vertex: level and neighbour lists per level in order; plus entry
 // point and max level), build_stats().distance_evals, and ids/NDC/hops of
-// 50 queries, at 1 and 4 build threads. Recorded from the per-vertex-vector
-// store; a moved pin means the construction or the query walk changed.
+// 50 queries, at 1 and 4 build threads. Recorded like DynamicHnswPinTest's;
+// a moved pin means the construction or the query walk changed.
 
 struct StaticPin {
   uint64_t build_evals;
@@ -605,8 +607,8 @@ TEST(HnswPinTest, RandomRows) {
   scenario.params.seed = 7;
   for (uint32_t threads : {1u, 4u}) {
     ExpectStaticPin(scenario, threads,
-                    {1500667, 15283718287320290375ULL,
-                     16665334168715386989ULL, 18291, 2396});
+                    {1493979, 15283718287320290375ULL,
+                     16665334168715386989ULL, 18091, 2396});
   }
 }
 
@@ -617,8 +619,8 @@ TEST(HnswPinTest, DuplicateHeavyRows) {
   scenario.params.seed = 9;
   for (uint32_t threads : {1u, 4u}) {
     ExpectStaticPin(scenario, threads,
-                    {274555, 10581533140826462053ULL, 1088352821806923273ULL,
-                     3759, 2343});
+                    {264017, 10581533140826462053ULL, 1088352821806923273ULL,
+                     3559, 2343});
   }
 }
 

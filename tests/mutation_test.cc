@@ -829,9 +829,9 @@ TEST(MutationIndexTest, FanOutIsPinned) {
   index.set_metrics(&metrics);
 
   uint32_t truncated = 0;
-  EXPECT_EQ(HashMutableFanOut(index, 0, &truncated), 0xe612702ed56422acULL);
+  EXPECT_EQ(HashMutableFanOut(index, 0, &truncated), 0xca1a749873997f44ULL);
   EXPECT_EQ(truncated, 0u);
-  EXPECT_EQ(HashMutableFanOut(index, 90, &truncated), 0x06b86795a974b254ULL);
+  EXPECT_EQ(HashMutableFanOut(index, 90, &truncated), 0x890dfdf2da3d9f4dULL);
   EXPECT_GT(truncated, 0u) << "budget 90 never truncated";
   // Per-shard counters belong to the static tier only.
   EXPECT_EQ(metrics.ToJson(false).find("\"shard."), std::string::npos);

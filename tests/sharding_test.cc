@@ -549,7 +549,7 @@ TEST(ShardedFanOutPinTest, BuiltHnsw) {
   auto index = CreateAlgorithm("Sharded:HNSW", ShardedOptions(4));
   index->Build(SharedWorkload().workload.base);
   ExpectFanOutPin(dynamic_cast<ShardedIndex&>(*index),
-                  {0x2f23e96cf4e8ab5dULL, 0xbb766354bb09e540ULL});
+                  {0x244541d912f477e5ULL, 0x1076a216da860b26ULL});
 }
 
 TEST(ShardedFanOutPinTest, BuiltNsg) {
