@@ -5,8 +5,12 @@
 // (a conservative one, the paper's OA recipe, and a deliberately bad one)
 // and shows how component choices move the tradeoff curve.
 //
-//   $ ./build/examples/custom_pipeline
+//   $ ./build/examples/custom_pipeline [num_base]
+//
+// num_base is the number of base rows (default 15000, at least 1000).
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 
 #include "eval/evaluator.h"
 #include "eval/ground_truth.h"
@@ -14,12 +18,27 @@
 #include "eval/table.h"
 #include "pipeline/pipeline.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace weavess;
+
+  unsigned long num_base = 15000;
+  if (argc > 2) {
+    std::fprintf(stderr, "usage: %s [num_base]\n", argv[0]);
+    return 1;
+  }
+  if (argc == 2) {
+    char* end = nullptr;
+    num_base = std::strtoul(argv[1], &end, 10);
+    if (end == argv[1] || *end != '\0' || num_base < 1000 ||
+        num_base > 10'000'000) {
+      std::fprintf(stderr, "num_base must be an integer in [1000, 1e7]\n");
+      return 1;
+    }
+  }
 
   SyntheticSpec spec;
   spec.dim = 48;
-  spec.num_base = 15000;
+  spec.num_base = static_cast<uint32_t>(num_base);
   spec.num_queries = 300;
   spec.num_clusters = 8;
   spec.stddev = 10.0f;

@@ -33,11 +33,12 @@ struct AlgorithmOptions {
   /// NSSG's minimum inter-neighbor angle θ (degrees).
   float angle_degrees = 60.0f;
   /// Construction threads (exact-KNNG init, NN-Descent local joins, HNSW
-  /// batch insertion, refinement pass). Every parallel build stage is
-  /// bit-for-bit thread-count invariant — adjacency lists, entry points,
-  /// and distance_evals are identical at any value (docs/CONCURRENCY.md).
-  /// For "Sharded:<algo>" this bounds the parallel per-shard builds (each
-  /// inner build is single-threaded).
+  /// batch insertion, refinement pass, SQ8 encoding). Every parallel build
+  /// stage is bit-for-bit thread-count invariant — adjacency lists, entry
+  /// points, and distance_evals are identical at any value
+  /// (docs/CONCURRENCY.md).
+  /// For "Sharded:<algo>" this bounds both the parallel per-shard builds
+  /// and the threads of each inner build.
   uint32_t build_threads = 1;
   uint64_t seed = 2024;
   /// "Sharded:<algo>" only: shard count (>= 1) and partitioner spelling

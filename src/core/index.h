@@ -46,6 +46,44 @@ struct SearchParams {
   const Clock* clock = nullptr;
 };
 
+/// One query's budgets shared by a probe search and the search it seeds
+/// (ML2's adaptive search, the during-routing filter). Construct it before
+/// the probe; Left then says what the probe left for the second search.
+class ProbeBudget {
+ public:
+  explicit ProbeBudget(const SearchParams& params)
+      : params_(params),
+        clock_(params.clock != nullptr ? *params.clock : SteadyClock()),
+        start_us_(params.time_budget_us > 0 ? clock_.NowMicros() : 0) {}
+
+  /// Sets `rest` to the query's params with each set budget reduced by the
+  /// probe's spend. Returns false, leaving `rest` alone, when the probe was
+  /// truncated or spent a whole budget: its results then answer the query,
+  /// truncated.
+  bool Left(const QueryStats& probe, SearchParams* rest) const {
+    const uint64_t elapsed_us =
+        params_.time_budget_us > 0 ? clock_.NowMicros() - start_us_ : 0;
+    if (probe.truncated ||
+        (params_.max_distance_evals > 0 &&
+         probe.distance_evals >= params_.max_distance_evals) ||
+        (params_.time_budget_us > 0 &&
+         elapsed_us >= params_.time_budget_us)) {
+      return false;
+    }
+    *rest = params_;
+    if (rest->max_distance_evals > 0) {
+      rest->max_distance_evals -= probe.distance_evals;
+    }
+    if (rest->time_budget_us > 0) rest->time_budget_us -= elapsed_us;
+    return true;
+  }
+
+ private:
+  const SearchParams params_;
+  const Clock& clock_;
+  const uint64_t start_us_;
+};
+
 /// Construction-side measurements.
 struct BuildStats {
   double seconds = 0.0;

@@ -37,11 +37,13 @@ class VisitedList {
 
   void MarkVisited(uint32_t id) { stamps_[id] = epoch_; }
 
-  /// Marks and reports whether the element was already visited.
+  /// Marks and reports whether the element was already visited. Stores the
+  /// stamp unconditionally, so a gather loop can advance its output count
+  /// by the result without a branch.
   bool CheckAndMark(uint32_t id) {
-    if (stamps_[id] == epoch_) return true;
+    const bool visited = stamps_[id] == epoch_;
     stamps_[id] = epoch_;
-    return false;
+    return visited;
   }
 
   uint32_t size() const { return static_cast<uint32_t>(stamps_.size()); }

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/check.h"
-#include "core/clock.h"
 #include "core/distance.h"
 #include "core/rng.h"
 #include "core/timer.h"
@@ -139,21 +138,15 @@ void EarlyTerminationIndex::Build(const Dataset& data) {
 std::vector<uint32_t> EarlyTerminationIndex::SearchWith(
     SearchScratch& scratch, const float* query, const SearchParams& params,
     QueryStats* stats) const {
-  const Clock& clock =
-      params.clock != nullptr ? *params.clock : SteadyClock();
-  const uint64_t start_us = params.time_budget_us > 0 ? clock.NowMicros() : 0;
+  const ProbeBudget budget(params);
   QueryStats probe_stats;
   std::vector<uint32_t> result;
   const Features f =
       ProbeFeatures(scratch, query, params, &probe_stats, &result);
   // A probe that spent a whole budget answers the query itself, truncated;
   // otherwise the main search gets only what the probe left of each budget.
-  const uint64_t elapsed_us =
-      params.time_budget_us > 0 ? clock.NowMicros() - start_us : 0;
-  if (probe_stats.truncated ||
-      (params.max_distance_evals > 0 &&
-       probe_stats.distance_evals >= params.max_distance_evals) ||
-      (params.time_budget_us > 0 && elapsed_us >= params.time_budget_us)) {
+  SearchParams adaptive;
+  if (!budget.Left(probe_stats, &adaptive)) {
     if (stats != nullptr) {
       stats->distance_evals = probe_stats.distance_evals;
       stats->hops = probe_stats.hops;
@@ -161,11 +154,6 @@ std::vector<uint32_t> EarlyTerminationIndex::SearchWith(
     }
     return result;
   }
-  SearchParams adaptive = params;
-  if (adaptive.max_distance_evals > 0) {
-    adaptive.max_distance_evals -= probe_stats.distance_evals;
-  }
-  if (adaptive.time_budget_us > 0) adaptive.time_budget_us -= elapsed_us;
   // The caller's pool_size acts as a *multiplier knob* on the predicted
   // budget, preserving the sweepable tradeoff: scale = pool / 100.
   const double scale = static_cast<double>(params.pool_size) / 100.0;

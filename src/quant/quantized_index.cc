@@ -45,7 +45,7 @@ void QuantizedIndex::Build(const Dataset& data) {
     graph_ = inner->graph();
     build_stats_ = inner->build_stats();
   }
-  codes_ = SQ8Codec::Train(data).Encode(data);
+  codes_ = SQ8Codec::Train(data).Encode(data, options_->build_threads);
   data_ = &data;
 }
 

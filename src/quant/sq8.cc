@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "core/parallel.h"
+
 namespace weavess {
 
 QuantizedDataset::QuantizedDataset(uint32_t num, uint32_t dim,
@@ -72,16 +74,17 @@ uint8_t SQ8Codec::EncodeValue(float v, uint32_t d) const {
   return EncodeWith(v, mins_[d], scales_[d]);
 }
 
-QuantizedDataset SQ8Codec::Encode(const Dataset& data) const {
+QuantizedDataset SQ8Codec::Encode(const Dataset& data,
+                                  uint32_t num_threads) const {
   WEAVESS_CHECK(data.dim() == dim_ &&
                 "codec was trained for a different dimensionality");
   const uint32_t stride = QuantizedDataset::PaddedStride(dim_);
   AlignedByteVector codes(static_cast<size_t>(data.size()) * stride, 0);
-  for (uint32_t i = 0; i < data.size(); ++i) {
+  ParallelFor(0, data.size(), num_threads, [&](uint32_t i) {
     const float* row = data.Row(i);
     uint8_t* out = codes.data() + static_cast<size_t>(i) * stride;
     for (uint32_t d = 0; d < dim_; ++d) out[d] = EncodeValue(row[d], d);
-  }
+  });
   return QuantizedDataset(data.size(), dim_, std::move(codes), mins_,
                           scales_);
 }

@@ -115,8 +115,10 @@ class SQ8Codec {
   /// scale 0: every code is 0 and dequantizes exactly to the constant.
   static SQ8Codec Train(const Dataset& data);
 
-  /// Encodes every row of `data` (which must match the trained dim).
-  QuantizedDataset Encode(const Dataset& data) const;
+  /// Encodes every row of `data` (which must match the trained dim). Rows
+  /// encode independently, `num_threads` at a time; the codes are the same
+  /// at any thread count.
+  QuantizedDataset Encode(const Dataset& data, uint32_t num_threads = 1) const;
 
   /// Encodes one value of dimension d.
   uint8_t EncodeValue(float v, uint32_t d) const;

@@ -47,7 +47,9 @@ std::vector<uint32_t> FilteredSearcher::Search(const float* query,
 
   // During-routing: route unconstrained (the graph stays navigable), but
   // only matching vertices enter the result pool. The routing frontier is
-  // seeded by a cheap unconstrained probe through the wrapped index.
+  // seeded by a cheap unconstrained probe through the wrapped index, which
+  // runs under the caller's budget; the walk gets what the probe left.
+  const ProbeBudget budget(params);
   SearchParams probe = params;
   probe.k = std::min<uint32_t>(8, params.k);
   probe.pool_size = std::min<uint32_t>(16, params.pool_size);
@@ -55,10 +57,25 @@ std::vector<uint32_t> FilteredSearcher::Search(const float* query,
   const std::vector<uint32_t> entries =
       index_->Search(query, probe, &probe_stats);
 
+  // A probe that spent a whole budget answers the query itself, truncated:
+  // its label matches are the best-so-far results.
+  SearchParams walk;
+  if (!budget.Left(probe_stats, &walk)) {
+    std::vector<uint32_t> result;
+    for (uint32_t id : entries) {
+      if (labels_[id] == label) result.push_back(id);
+    }
+    if (stats != nullptr) {
+      stats->distance_evals = probe_stats.distance_evals;
+      stats->hops = probe_stats.hops;
+      stats->truncated = true;
+    }
+    return result;
+  }
+
   SearchContext ctx;
   ctx.BeginQuery(data_->size());
-  ctx.ArmBudget(params.max_distance_evals, params.time_budget_us,
-                params.clock);
+  ctx.ArmBudget(walk.max_distance_evals, walk.time_budget_us, walk.clock);
   DistanceOracle oracle(*data_, &ctx.counter);
   const CsrGraph& graph = index_->graph();
   CandidatePool routing(std::max(params.pool_size, params.k));
@@ -68,6 +85,10 @@ std::vector<uint32_t> FilteredSearcher::Search(const float* query,
     if (labels_[id] == label) results.Insert(Neighbor(id, dist));
   };
   for (uint32_t id : entries) {
+    if (ctx.BudgetExhausted()) {
+      ctx.truncated = true;
+      break;
+    }
     if (!ctx.visited.CheckAndMark(id)) {
       offer(id, oracle.ToQuery(query, id));
     }
@@ -90,7 +111,6 @@ std::vector<uint32_t> FilteredSearcher::Search(const float* query,
   if (stats != nullptr) {  // the probe's work is the query's too
     stats->distance_evals += probe_stats.distance_evals;
     stats->hops += probe_stats.hops;
-    stats->truncated |= probe_stats.truncated;
   }
   return results.TopIds(params.k);
 }

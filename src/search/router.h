@@ -73,29 +73,35 @@ inline void TraceTruncated(SearchContext& ctx) {
   }
 }
 
-// Evaluates the ids gathered in ctx.batch_ids with one batched kernel call,
-// leaving distances in ctx.batch_dists (bit-for-bit equal to per-id
+// Evaluates the first `n` ids in ctx.batch_ids with one batched kernel
+// call, leaving distances in ctx.batch_dists (bit-for-bit equal to per-id
 // ToQuery calls, same NDC accounting).
 template <typename OracleT>
 inline void EvalGathered(const float* query, OracleT& oracle,
-                         SearchContext& ctx) {
-  ctx.batch_dists.resize(ctx.batch_ids.size());
-  oracle.ToQueryBatch(query, ctx.batch_ids.data(), ctx.batch_ids.size(),
-                      ctx.batch_dists.data());
+                         SearchContext& ctx, size_t n) {
+  ctx.batch_dists.resize(n);
+  oracle.ToQueryBatch(query, ctx.batch_ids.data(), n, ctx.batch_dists.data());
 }
 
-// Gathers the not-yet-visited neighbors (marking them visited) into
-// ctx.batch_ids and batch-evaluates them. Returns the gathered count.
+// Gathers the not-yet-visited neighbors (marking them visited) into the
+// first entries of ctx.batch_ids and batch-evaluates them. Returns the
+// gathered count; entries past it are stale. Branch-free: every id is
+// written at the output cursor, which advances only past fresh ones, so
+// the next id overwrites a visited one.
 template <typename Range, typename OracleT>
 inline size_t GatherAndEval(const Range& neighbors, const float* query,
                             OracleT& oracle, SearchContext& ctx) {
-  ctx.batch_ids.clear();
-  for (uint32_t neighbor : neighbors) {
-    if (ctx.visited.CheckAndMark(neighbor)) continue;
-    ctx.batch_ids.push_back(neighbor);
+  if (ctx.batch_ids.size() < neighbors.size()) {
+    ctx.batch_ids.resize(neighbors.size());
   }
-  EvalGathered(query, oracle, ctx);
-  return ctx.batch_ids.size();
+  uint32_t* out = ctx.batch_ids.data();
+  size_t n = 0;
+  for (uint32_t neighbor : neighbors) {
+    out[n] = neighbor;
+    n += !ctx.visited.CheckAndMark(neighbor);
+  }
+  EvalGathered(query, oracle, ctx, n);
+  return n;
 }
 
 // Warms the cache for the likeliest next expansion: the adjacency block of
@@ -296,7 +302,7 @@ void GuidedSearch(const GraphT& graph, const Dataset& data, const float* query,
       if (ctx.visited.CheckAndMark(neighbor)) continue;
       ctx.batch_ids.push_back(neighbor);
     }
-    router_detail::EvalGathered(query, oracle, ctx);
+    router_detail::EvalGathered(query, oracle, ctx, ctx.batch_ids.size());
     for (size_t i = 0; i < ctx.batch_ids.size(); ++i) {
       pool.Insert(Neighbor(ctx.batch_ids[i], ctx.batch_dists[i]));
     }

@@ -52,10 +52,11 @@ ShardedIndex::ShardedIndex(std::string algorithm, AlgorithmOptions options)
 
 AlgorithmOptions ShardedIndex::ShardBuildOptions(uint32_t shard) const {
   AlgorithmOptions per_shard = options_;
-  // Inner builds are single-threaded — outer shard parallelism is the
-  // concurrency story — and each shard gets its own derived RNG stream, so
-  // the composed index is independent of thread count and build order.
-  per_shard.build_threads = 1;
+  // Each shard builds with the index's build_threads on the shared pool
+  // (its build is thread-count invariant), so cores freed by small shards
+  // help the largest one finish. Each shard gets its own derived RNG
+  // stream, so the composed index is independent of thread count and
+  // build order.
   per_shard.seed = DeriveShardSeed(options_.seed, shard);
   return per_shard;
 }

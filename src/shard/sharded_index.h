@@ -3,10 +3,11 @@
 // scatter-gather (docs/SHARDING.md).
 //
 // Determinism contract (the PR 2 invariants, extended to sharding):
-//   * Build — each shard builds single-threaded from its own subset with
-//     its own derived seed (DeriveShardSeed(base_seed, shard)), so the
-//     composed index is bit-for-bit identical at any outer thread count and
-//     for any shard-build completion order.
+//   * Build — each shard builds from its own subset with its own derived
+//     seed (DeriveShardSeed(base_seed, shard)), and a shard's build is
+//     thread-count invariant, so the composed index is bit-for-bit
+//     identical at any thread count and for any shard-build completion
+//     order.
 //   * Search — one ScatterGather (shard/scatter_gather.h), so results are
 //     a pure function of (index, query bytes, params).
 //
@@ -45,8 +46,9 @@ class ShardedIndex final : public AnnIndex {
  public:
   /// An unbuilt sharded index over `options.num_shards` shards of inner
   /// `algorithm` (a base registry name; sharding does not nest). The
-  /// partitioner is options.partitioner; options.build_threads bounds the
-  /// parallel shard builds; options.seed is the base seed.
+  /// partitioner is options.partitioner; options.build_threads bounds how
+  /// many shards build at once and the threads of each shard's build;
+  /// options.seed is the base seed.
   ShardedIndex(std::string algorithm, AlgorithmOptions options);
 
   /// Partitions `data`, then builds every shard on a thread pool. `data`
@@ -138,7 +140,8 @@ class ShardedIndex final : public AnnIndex {
 
   ShardedIndex() = default;  // Load() assembles the members itself
 
-  /// Per-shard build options: single-threaded, derived seed.
+  /// Per-shard build options: the index's options (build_threads
+  /// included) with the shard's derived seed.
   AlgorithmOptions ShardBuildOptions(uint32_t shard) const;
 
   /// Rebuilds combined_ from every shard's index.

@@ -4,6 +4,7 @@
 // the per-query scratch state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "core/clock.h"
 #include "core/graph.h"
 #include "core/index.h"
+#include "search/filtered.h"
 #include "search/router.h"
 #include "test_util.h"
 
@@ -222,6 +224,46 @@ TEST(BudgetTest, VirtualClockExpiryTruncatesImmediately) {
   const std::vector<uint32_t> result = ExtractTopK(pool, 10);
   EXPECT_FALSE(result.empty()) << "expiry must not discard the best-so-far";
   EXPECT_LT(result.size(), 10u) << "an expired walk cannot have converged";
+}
+
+TEST(BudgetTest, FilteredDuringRoutingStaysWithinBudget) {
+  // The during-routing filter seeds its walk with a probe search through
+  // the wrapped index. The probe and the walk share one budget: together
+  // they may overshoot it by at most one adjacency list.
+  const TestWorkload& tw = SharedWorkload();
+  AlgorithmOptions options;
+  options.max_degree = 10;
+  options.knng_degree = 10;
+  options.build_pool = 30;
+  for (const char* name : {"NSG", "HNSW"}) {
+    SCOPED_TRACE(name);
+    auto index = CreateAlgorithm(name, options);
+    index->Build(tw.workload.base);
+    uint64_t max_out_degree = 0;
+    for (uint32_t v = 0; v < index->graph().size(); ++v) {
+      max_out_degree = std::max<uint64_t>(max_out_degree,
+                                          index->graph().Neighbors(v).size());
+    }
+    std::vector<uint32_t> labels(tw.workload.base.size());
+    for (uint32_t i = 0; i < labels.size(); ++i) labels[i] = i % 4;
+    FilteredSearcher searcher(index.get(), &tw.workload.base, labels);
+    for (const uint64_t budget : {20u, 100u}) {
+      SearchParams params;
+      params.k = 10;
+      params.pool_size = 40;
+      params.max_distance_evals = budget;
+      for (uint32_t q = 0; q < tw.workload.queries.size(); ++q) {
+        QueryStats stats;
+        const auto result =
+            searcher.Search(tw.workload.queries.Row(q), q % 4, params,
+                            FilterStrategy::kDuringRouting, &stats);
+        EXPECT_LE(stats.distance_evals, budget + max_out_degree)
+            << "budget " << budget << ", query " << q;
+        EXPECT_LE(result.size(), 10u);
+        for (uint32_t id : result) EXPECT_EQ(labels[id], q % 4);
+      }
+    }
+  }
 }
 
 TEST(BudgetTest, GenerousBudgetDoesNotTruncate) {

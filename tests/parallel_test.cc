@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "algorithms/nsg.h"
 #include "algorithms/registry.h"
 #include "core/parallel.h"
+#include "core/thread_pool.h"
 #include "eval/ground_truth.h"
 #include "eval/synthetic.h"
 #include "graph/exact_knng.h"
@@ -20,10 +24,22 @@ namespace weavess {
 namespace {
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  std::vector<std::atomic<int>> hits(1000);
+  // 1003 indices on 4 workers claim chunks of 1003 / 64 = 15, which do not
+  // divide the range; the first indices cost far more than the rest.
+  constexpr uint32_t kCount = 1003;
+  std::vector<std::atomic<int>> hits(kCount);
   for (auto& h : hits) h = 0;
-  ParallelFor(0, 1000, 4, [&hits](uint32_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  std::atomic<uint64_t> sink{0};
+  ParallelForWithWorker(0, kCount, 4, [&](uint32_t i, uint32_t) {
+    uint64_t spin = i;
+    const uint32_t rounds = i < 40 ? 20000 : 10;
+    for (uint32_t r = 0; r < rounds; ++r) {
+      spin = spin * 6364136223846793005ULL + 1;
+    }
+    sink.fetch_add(spin & 1, std::memory_order_relaxed);
+    ++hits[i];
+  });
+  for (uint32_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(ParallelForTest, EmptyAndSingleRanges) {
@@ -73,6 +89,44 @@ TEST(ParallelForTest, UsableAfterException) {
   std::atomic<int> calls{0};
   ParallelFor(0, 100, 4, [&calls](uint32_t) { ++calls; });
   EXPECT_EQ(calls.load(), 100);
+}
+
+TEST(ParallelForTest, WorkerSlotNeverRunsOnTwoThreadsAtOnce) {
+  // Per-slot scratch relies on this: a slot that two threads held at once
+  // would find its busy flag already set.
+  constexpr uint32_t kThreads = 4;
+  std::vector<std::atomic<bool>> busy(kThreads);
+  for (auto& b : busy) b = false;
+  std::atomic<int> overlaps{0};
+  std::atomic<int> calls{0};
+  ParallelForWithWorker(0, 2000, kThreads, [&](uint32_t, uint32_t worker) {
+    ASSERT_LT(worker, kThreads);
+    if (busy[worker].exchange(true)) ++overlaps;
+    // Hold the slot long enough for a second holder to be caught.
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+    ++calls;
+    busy[worker].store(false);
+  });
+  EXPECT_EQ(overlaps.load(), 0);
+  EXPECT_EQ(calls.load(), 2000);
+}
+
+TEST(ParallelForTest, CompletesInsidePoolTasks) {
+  // Sharded builds run each shard's build as a task of their own pool, and
+  // the build's loops run on the shared pool; the nested loops must
+  // finish even while every shared worker is busy with a sibling's loop.
+  // The shared pool itself may also be the outer pool.
+  ThreadPool outer(3);
+  for (ThreadPool* pool : {&outer, &SharedThreadPool()}) {
+    std::vector<std::atomic<int>> hits(4 * 500);
+    for (auto& h : hits) h = 0;
+    pool->RunTasks(4, [&hits](uint32_t task) {
+      ParallelForWithWorker(0, 500, 4, [&hits, task](uint32_t i, uint32_t) {
+        ++hits[task * 500 + i];
+      });
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
 }
 
 TEST(ParallelTest, ExactKnngThreadCountInvariant) {

@@ -100,6 +100,16 @@ TEST(SQ8CodecTest, DequantizationErrorBoundedByHalfStep) {
   }
 }
 
+TEST(SQ8CodecTest, EncodeIsThreadCountInvariant) {
+  Dataset data = RandomDataset(1000, 24, /*seed=*/6);
+  const SQ8Codec codec = SQ8Codec::Train(data);
+  const QuantizedDataset serial = codec.Encode(data);
+  const QuantizedDataset parallel = codec.Encode(data, 4);
+  const size_t bytes = static_cast<size_t>(data.size()) * serial.code_stride();
+  EXPECT_TRUE(std::equal(serial.CodeBase(), serial.CodeBase() + bytes,
+                         parallel.CodeBase()));
+}
+
 TEST(SQ8CodecTest, ConstantDimensionEncodesExactly) {
   // A zero-range dimension has scale 0 and must reconstruct bit-exactly
   // from its min, not divide by zero.

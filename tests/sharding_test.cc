@@ -253,19 +253,31 @@ TEST(ShardedSearchTest, DescendingIdMapStillMergesInDistanceThenIdOrder) {
 // ------------------------------------------------- determinism
 
 TEST(ShardedBuildTest, BitForBitIdenticalAtAnyThreadCount) {
+  // Each shard builds with the index's build_threads, so the shard builds
+  // and their inner loops (HNSW's batched insert; NSG's NN-Descent and
+  // selection pass) share the cores.
   const TestWorkload& tw = SharedWorkload();
-  std::unique_ptr<AnnIndex> reference;
-  for (uint32_t threads : {1u, 2u, 8u}) {
-    AlgorithmOptions options = ShardedOptions(4, "kmeans");
-    options.build_threads = threads;
-    auto index = CreateAlgorithm("Sharded:HNSW", options);
-    index->Build(tw.workload.base);
-    if (reference == nullptr) {
-      reference = std::move(index);
-      continue;
+  const struct {
+    const char* algo;
+    std::vector<uint32_t> threads;
+  } cases[] = {{"Sharded:HNSW", {1, 2, 8}}, {"Sharded:NSG", {1, 4}}};
+  for (const auto& c : cases) {
+    std::unique_ptr<AnnIndex> reference;
+    for (uint32_t threads : c.threads) {
+      AlgorithmOptions options = ShardedOptions(4, "kmeans");
+      options.build_threads = threads;
+      auto index = CreateAlgorithm(c.algo, options);
+      index->Build(tw.workload.base);
+      if (reference == nullptr) {
+        reference = std::move(index);
+        continue;
+      }
+      EXPECT_TRUE(index->graph() == reference->graph())
+          << c.algo << " threads=" << threads << " differs";
+      EXPECT_EQ(index->build_stats().distance_evals,
+                reference->build_stats().distance_evals)
+          << c.algo << " threads=" << threads;
     }
-    EXPECT_TRUE(index->graph() == reference->graph())
-        << "threads=" << threads << " differs";
   }
 }
 
