@@ -43,7 +43,7 @@ double RunQueries(const Dataset& base, const Dataset& queries,
             Neighbor(neighbor, oracle.ToQuery(queries.Row(q), neighbor)));
       });
     }
-    recall_sum += Recall(ExtractTopK(pool, kRecallAtK), truth[q],
+    recall_sum += Recall(IdsOf(pool.TopScored(kRecallAtK)), truth[q],
                          kRecallAtK);
   }
   const double seconds = timer.Seconds();

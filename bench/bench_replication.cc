@@ -1,6 +1,6 @@
 // Replicated-serving resilience: availability and tail latency as one
 // replica of an N-way ReplicaSet (search/replica_set.h) fails at an
-// increasing injected fault rate. The faulty replica throws from SearchWith
+// increasing injected fault rate. The faulty replica throws from its search
 // on a deterministic pseudo-random schedule; the set absorbs the faults via
 // hedged second-sends and bounded failover, so availability stays at 1.0
 // while the failover/hedge rates and the tail grow with the fault rate —
@@ -52,7 +52,7 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Delegating index whose SearchWith throws on a deterministic
+/// Delegating index whose SearchScored throws on a deterministic
 /// pseudo-random schedule: query n fails iff Mix64(n) lands in the bottom
 /// `rate` fraction of the hash range. Same shape as the chaos suite's
 /// injected backend, but rate-driven for the bench ladder.
@@ -67,14 +67,15 @@ class FaultyIndex final : public AnnIndex {
     throw std::logic_error("FaultyIndex wraps an already-built index");
   }
 
-  std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
-                                   const SearchParams& params,
-                                   QueryStats* stats) const override {
+  std::vector<ScoredId> SearchScored(SearchScratch& scratch,
+                                     const float* query,
+                                     const SearchParams& params,
+                                     QueryStats* stats) const override {
     const uint64_t n = seq_.fetch_add(1, std::memory_order_relaxed);
     if (Mix64(n) % 10000 < fail_below_) {
       throw std::runtime_error("injected replica fault");
     }
-    return inner_.SearchWith(scratch, query, params, stats);
+    return inner_.SearchScored(scratch, query, params, stats);
   }
 
   const CsrGraph& graph() const override { return inner_.graph(); }

@@ -65,6 +65,7 @@ int main() {
     std::vector<uint32_t> labels(workload.base.size());
     for (uint32_t i = 0; i < labels.size(); ++i) labels[i] = i % num_labels;
     FilteredSearcher searcher(index.get(), &workload.base, labels);
+    SearchScratch scratch;
     const uint32_t target_label = 1;
     for (const auto& [strategy, name] :
          {std::pair{FilterStrategy::kPostFilter, "post-filter"},
@@ -79,8 +80,8 @@ int main() {
         const auto truth =
             FilteredTruth(workload.base, labels, query, target_label, 10);
         QueryStats stats;
-        const auto result =
-            searcher.Search(query, target_label, params, strategy, &stats);
+        const auto result = searcher.SearchWith(scratch, query, target_label,
+                                                params, strategy, &stats);
         recall_sum += Recall(result, truth, 10);
         ndc += stats.distance_evals;
       }

@@ -395,10 +395,10 @@ std::vector<uint32_t> HnswIndex::Compact() {
 
 // -------------------------------------------------------------- search
 
-std::vector<uint32_t> HnswIndex::SearchWith(SearchScratch& scratch,
-                                            const float* query,
-                                            const SearchParams& params,
-                                            QueryStats* stats) const {
+std::vector<ScoredId> HnswIndex::SearchScored(SearchScratch& scratch,
+                                              const float* query,
+                                              const SearchParams& params,
+                                              QueryStats* stats) const {
   SearchContext& ctx = scratch.ctx;
   ctx.BeginQuery(num_points_);
   ctx.ArmBudget(params.max_distance_evals, params.time_budget_us,
@@ -422,10 +422,12 @@ std::vector<uint32_t> HnswIndex::SearchWith(SearchScratch& scratch,
     BestFirstSearch(Layer{*this, 0}, query, oracle, ctx, pool);
   }
   ctx.WriteStats(stats);
-  std::vector<uint32_t> result;
+  std::vector<ScoredId> result;
   for (const Neighbor& candidate : pool.entries()) {
     if (result.size() == params.k) break;
-    if (!IsDeleted(candidate.id)) result.push_back(candidate.id);
+    if (!IsDeleted(candidate.id)) {
+      result.emplace_back(candidate.distance, candidate.id);
+    }
   }
   return result;
 }

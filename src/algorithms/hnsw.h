@@ -22,7 +22,7 @@
 // Add copies the tail pages plus the pages Connect rewires, a Remove one.
 //
 // Concurrency contract: Build/Add/Remove/Compact and copying need exclusive
-// access; SearchWith is const and only reads, so any number of threads may
+// access; SearchScored is const and only reads, so any number of threads may
 // search one *unchanging* index with caller-owned scratch. The mutable
 // shards (shard/mutable_shard.h) publish a page-sharing copy of their
 // working index after each write while readers search earlier copies.
@@ -115,9 +115,9 @@ class HnswIndex : public AnnIndex {
   /// acquisition, C6), then best-first search at level 0 (routing, C7).
   /// Returns empty when no id is live. Honors SearchParams budgets
   /// including params.clock.
-  std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
-                                   const SearchParams& params,
-                                   QueryStats* stats = nullptr) const override;
+  std::vector<ScoredId> SearchScored(
+      SearchScratch& scratch, const float* query, const SearchParams& params,
+      QueryStats* stats = nullptr) const override;
   /// A CSR snapshot of level 0 as of the last Build; empty once Add or
   /// Compact has changed the structure (walk Neighbors(v, 0) instead).
   /// Search walks the pages, and IndexMemoryBytes leaves it out.

@@ -12,6 +12,7 @@
 #include "core/clock.h"
 #include "core/dataset.h"
 #include "core/flat_graph.h"
+#include "core/neighbor.h"
 #include "core/search_context.h"
 
 namespace weavess {
@@ -92,11 +93,11 @@ struct BuildStats {
 
 /// Abstract graph-based ANNS index. Implementations keep a pointer to the
 /// dataset passed to Build (the caller keeps it alive). A built index is
-/// immutable: SearchWith is const and touches no index state beyond reads,
-/// so any number of threads may search concurrently as long as each brings
-/// its own SearchScratch. Results are a pure function of (index, query,
-/// params) — search-time randomness is derived from the query bytes, never
-/// from mutable RNG state — which is what lets the concurrent engine
+/// immutable: SearchScored is const and touches no index state beyond
+/// reads, so any number of threads may search concurrently as long as each
+/// brings its own SearchScratch. Results are a pure function of (index,
+/// query, params) — search-time randomness is derived from the query bytes,
+/// never from mutable RNG state — which is what lets the concurrent engine
 /// guarantee bit-for-bit identical results at any thread count.
 class AnnIndex {
  public:
@@ -105,16 +106,25 @@ class AnnIndex {
   /// Builds the index over `data`; may be called once per instance.
   virtual void Build(const Dataset& data) = 0;
 
-  /// Thread-compatible search: returns the ids of the approximate k
-  /// nearest neighbors of `query`, closest first, using caller-owned
-  /// scratch (any SearchScratch; it grows to cover this index). `stats`,
-  /// when given, receives this query's counters. Concurrent calls on
-  /// distinct scratch objects are safe.
-  virtual std::vector<uint32_t> SearchWith(SearchScratch& scratch,
-                                           const float* query,
-                                           const SearchParams& params,
-                                           QueryStats* stats = nullptr)
+  /// Thread-compatible search, the one each index implements: returns the
+  /// approximate k nearest neighbors of `query`, closest first, each with
+  /// the exact float distance its frame computed — squared L2 to the row,
+  /// bit-equal to L2Sqr, so no caller needs to evaluate a result again.
+  /// Uses caller-owned scratch (any SearchScratch; it grows to cover this
+  /// index). `stats`, when given, receives this query's counters.
+  /// Concurrent calls on distinct scratch objects are safe.
+  virtual std::vector<ScoredId> SearchScored(SearchScratch& scratch,
+                                             const float* query,
+                                             const SearchParams& params,
+                                             QueryStats* stats = nullptr)
       const = 0;
+
+  /// SearchScored's ids, in its order.
+  std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
+                                   const SearchParams& params,
+                                   QueryStats* stats = nullptr) const {
+    return IdsOf(SearchScored(scratch, query, params, stats));
+  }
 
   /// Single-threaded convenience wrapper over SearchWith using scratch
   /// owned by the index. Not safe to call concurrently on one index; the

@@ -31,6 +31,33 @@ inline bool operator<(const Neighbor& a, const Neighbor& b) {
 
 inline bool operator>(const Neighbor& a, const Neighbor& b) { return b < a; }
 
+/// A search result: a candidate's id with its (squared) distance to the
+/// query, ordered by (distance, id).
+struct ScoredId {
+  float distance = 0.0f;
+  uint32_t id = 0;
+
+  ScoredId() = default;
+  ScoredId(float distance_in, uint32_t id_in)
+      : distance(distance_in), id(id_in) {}
+
+  friend bool operator<(const ScoredId& a, const ScoredId& b) {
+    return a.distance < b.distance ||
+           (a.distance == b.distance && a.id < b.id);
+  }
+  friend bool operator==(const ScoredId& a, const ScoredId& b) {
+    return a.distance == b.distance && a.id == b.id;
+  }
+};
+
+/// The ids of `entries`, in order.
+inline std::vector<uint32_t> IdsOf(const std::vector<ScoredId>& entries) {
+  std::vector<uint32_t> ids;
+  ids.reserve(entries.size());
+  for (const ScoredId& entry : entries) ids.push_back(entry.id);
+  return ids;
+}
+
 /// Fixed-capacity pool of candidates kept sorted by ascending distance: the
 /// set C of Definition 4.7 with |C| <= c. Insertion is O(capacity) via
 /// shifted insert, which beats heap-based pools at the small capacities
@@ -119,14 +146,14 @@ class CandidatePool {
     pool_[i].checked = true;
   }
 
-  /// Copies the closest k ids out of the pool.
-  std::vector<uint32_t> TopIds(size_t k) const {
-    std::vector<uint32_t> ids;
-    ids.reserve(std::min(k, pool_.size()));
+  /// Copies the closest k entries out of the pool, in pool order.
+  std::vector<ScoredId> TopScored(size_t k) const {
+    std::vector<ScoredId> top;
+    top.reserve(std::min(k, pool_.size()));
     for (size_t i = 0; i < pool_.size() && i < k; ++i) {
-      ids.push_back(pool_[i].id);
+      top.emplace_back(pool_[i].distance, pool_[i].id);
     }
-    return ids;
+    return top;
   }
 
  private:

@@ -1,7 +1,7 @@
 // Per-query search state. Lives in core (not search/) because the index
 // facade exposes a thread-compatible search entry point that takes this
 // scratch explicitly: concurrent searchers lease one SearchScratch per
-// in-flight query from a ScratchPool and hand it to AnnIndex::SearchWith, so
+// in-flight query from a ScratchPool and hand it to AnnIndex::SearchScored, so
 // an immutable index can serve many queries in parallel.
 #ifndef WEAVESS_CORE_SEARCH_CONTEXT_H_
 #define WEAVESS_CORE_SEARCH_CONTEXT_H_

@@ -31,26 +31,9 @@
 #include "core/dataset.h"
 #include "core/distance.h"
 #include "core/index.h"
+#include "core/neighbor.h"
 
 namespace weavess {
-
-/// A candidate with its (squared) distance to the query.
-struct ScoredId {
-  float distance = 0.0f;
-  uint32_t id = 0;
-
-  ScoredId() = default;
-  ScoredId(float distance_in, uint32_t id_in)
-      : distance(distance_in), id(id_in) {}
-
-  friend bool operator<(const ScoredId& a, const ScoredId& b) {
-    return a.distance < b.distance ||
-           (a.distance == b.distance && a.id < b.id);
-  }
-  friend bool operator==(const ScoredId& a, const ScoredId& b) {
-    return a.distance == b.distance && a.id == b.id;
-  }
-};
 
 /// Keeps the k smallest (distance, id) pairs pushed into it. `k == 0` keeps
 /// nothing. Push is O(log k); extraction sorts ascending. No duplicate
@@ -93,14 +76,6 @@ class TopKAccumulator {
   size_t k_;
   std::vector<ScoredId> heap_;  // max-heap under operator<
 };
-
-/// The ids of `entries`, in order.
-inline std::vector<uint32_t> IdsOf(const std::vector<ScoredId>& entries) {
-  std::vector<uint32_t> ids;
-  ids.reserve(entries.size());
-  for (const ScoredId& entry : entries) ids.push_back(entry.id);
-  return ids;
-}
 
 /// Exact top-k over the first min(data.size(), max_rows) rows of `data`
 /// (max_rows 0 = every row), sorted by (distance, id). One evaluation per row

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/check.h"
-#include "core/distance.h"
 #include "core/rng.h"
 #include "core/timer.h"
 
@@ -36,25 +35,22 @@ EarlyTerminationIndex::~EarlyTerminationIndex() = default;
 
 EarlyTerminationIndex::Features EarlyTerminationIndex::ProbeFeatures(
     SearchScratch& scratch, const float* query, const SearchParams& params,
-    QueryStats* stats, std::vector<uint32_t>* result) const {
+    QueryStats* stats, std::vector<ScoredId>* result) const {
   SearchParams probe;
   probe.k = std::min(params.k, params_.probe_pool);
   probe.pool_size = params_.probe_pool;
   probe.max_distance_evals = params.max_distance_evals;
   probe.time_budget_us = params.time_budget_us;
   probe.clock = params.clock;
-  *result = base_->SearchWith(scratch, query, probe, stats);
+  *result = base_->SearchScored(scratch, query, probe, stats);
   Features f{1.0, 1.0};
   if (!result->empty()) {
-    const float best =
-        L2Sqr(query, data_->Row(result->front()), data_->dim());
-    const float worst =
-        L2Sqr(query, data_->Row(result->back()), data_->dim());
+    const float best = result->front().distance;
+    const float worst = result->back().distance;
     f.probe_best = std::max(1e-12, static_cast<double>(best));
     f.probe_spread =
         best > 0.0f ? static_cast<double>(worst) / best : 1.0;
   }
-  if (stats != nullptr) stats->distance_evals += 2;  // the feature probes
   return f;
 }
 
@@ -64,7 +60,6 @@ double EarlyTerminationIndex::PredictPool(const Features& f) const {
 }
 
 void EarlyTerminationIndex::Build(const Dataset& data) {
-  data_ = &data;
   base_->Build(data);
   Timer timer;
 
@@ -79,7 +74,7 @@ void EarlyTerminationIndex::Build(const Dataset& data) {
 
   // Normal equations for 3 weights.
   SearchScratch scratch;
-  std::vector<uint32_t> probed;
+  std::vector<ScoredId> probed;
   SearchParams full;  // unbudgeted; the probe takes only its k
   full.k = 1;
   full.pool_size = params_.max_pool;
@@ -135,12 +130,12 @@ void EarlyTerminationIndex::Build(const Dataset& data) {
   build_stats_.seconds += training_seconds_;
 }
 
-std::vector<uint32_t> EarlyTerminationIndex::SearchWith(
+std::vector<ScoredId> EarlyTerminationIndex::SearchScored(
     SearchScratch& scratch, const float* query, const SearchParams& params,
     QueryStats* stats) const {
   const ProbeBudget budget(params);
   QueryStats probe_stats;
-  std::vector<uint32_t> result;
+  std::vector<ScoredId> result;
   const Features f =
       ProbeFeatures(scratch, query, params, &probe_stats, &result);
   // A probe that spent a whole budget answers the query itself, truncated;
@@ -163,7 +158,7 @@ std::vector<uint32_t> EarlyTerminationIndex::SearchWith(
                  static_cast<double>(params_.max_pool)));
   adaptive.pool_size = std::max(adaptive.pool_size, params.k);
   QueryStats main_stats;
-  result = base_->SearchWith(scratch, query, adaptive, &main_stats);
+  result = base_->SearchScored(scratch, query, adaptive, &main_stats);
   if (stats != nullptr) {
     stats->distance_evals =
         probe_stats.distance_evals + main_stats.distance_evals;

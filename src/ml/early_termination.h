@@ -33,9 +33,9 @@ class EarlyTerminationIndex : public AnnIndex {
   ~EarlyTerminationIndex() override;
 
   void Build(const Dataset& data) override;
-  std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
-                                   const SearchParams& params,
-                                   QueryStats* stats = nullptr) const override;
+  std::vector<ScoredId> SearchScored(
+      SearchScratch& scratch, const float* query, const SearchParams& params,
+      QueryStats* stats = nullptr) const override;
   const CsrGraph& graph() const override { return base_->graph(); }
   size_t IndexMemoryBytes() const override;
   BuildStats build_stats() const override { return build_stats_; }
@@ -50,16 +50,15 @@ class EarlyTerminationIndex : public AnnIndex {
     double probe_spread; // worst/best ratio within the probe pool
   };
   // Runs the fixed-effort probe under the budgets and clock of `params`
-  // (its k capped at the probe pool) into `result`, then evaluates the
-  // two features; `stats` counts both.
+  // (its k capped at the probe pool) into `result`, counted in `stats`,
+  // and reads the two features off its first and last distances.
   Features ProbeFeatures(SearchScratch& scratch, const float* query,
                          const SearchParams& params, QueryStats* stats,
-                         std::vector<uint32_t>* result) const;
+                         std::vector<ScoredId>* result) const;
   double PredictPool(const Features& f) const;
 
   std::unique_ptr<AnnIndex> base_;
   Params params_;
-  const Dataset* data_ = nullptr;
   // Linear model: pool ≈ w0 + w1 * log(probe_best) + w2 * probe_spread.
   double weights_[3] = {0.0, 0.0, 0.0};
   double training_seconds_ = 0.0;

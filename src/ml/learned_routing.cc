@@ -64,7 +64,7 @@ void LearnedRoutingIndex::Build(const Dataset& data) {
   build_stats_.seconds += preprocessing_seconds_;
 }
 
-std::vector<uint32_t> LearnedRoutingIndex::SearchWith(
+std::vector<ScoredId> LearnedRoutingIndex::SearchScored(
     SearchScratch& scratch, const float* query, const SearchParams& params,
     QueryStats* stats) const {
   WEAVESS_CHECK(data_ != nullptr);
@@ -122,7 +122,7 @@ std::vector<uint32_t> LearnedRoutingIndex::SearchWith(
     }
   }
   ctx.WriteStats(stats);
-  return ExtractTopK(pool, params.k);
+  return pool.TopScored(params.k);
 }
 
 size_t LearnedRoutingIndex::IndexMemoryBytes() const {

@@ -35,9 +35,9 @@ class LearnedRoutingIndex : public AnnIndex {
   ~LearnedRoutingIndex() override;
 
   void Build(const Dataset& data) override;
-  std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
-                                   const SearchParams& params,
-                                   QueryStats* stats = nullptr) const override;
+  std::vector<ScoredId> SearchScored(
+      SearchScratch& scratch, const float* query, const SearchParams& params,
+      QueryStats* stats = nullptr) const override;
   const CsrGraph& graph() const override { return base_->graph(); }
   size_t IndexMemoryBytes() const override;
   BuildStats build_stats() const override { return build_stats_; }

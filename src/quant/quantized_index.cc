@@ -63,10 +63,10 @@ std::string QuantizedIndex::name() const {
   return metadata_.empty() ? "SQ8:LoadedGraph" : "SQ8:" + metadata_;
 }
 
-std::vector<uint32_t> QuantizedIndex::SearchWith(SearchScratch& scratch,
-                                                 const float* query,
-                                                 const SearchParams& params,
-                                                 QueryStats* stats) const {
+std::vector<ScoredId> QuantizedIndex::SearchScored(SearchScratch& scratch,
+                                                   const float* query,
+                                                   const SearchParams& params,
+                                                   QueryStats* stats) const {
   WEAVESS_CHECK(data_ != nullptr && "index is not built");
   SearchContext& ctx = scratch.ctx;
   ctx.BeginQuery(codes_.size());
@@ -109,14 +109,15 @@ std::vector<uint32_t> QuantizedIndex::SearchWith(SearchScratch& scratch,
   ctx.batch_dists.resize(want);
   exact.ToQueryBatch(query, ctx.batch_ids.data(), want,
                      ctx.batch_dists.data());
-  std::vector<Neighbor> rescored;
+  std::vector<ScoredId> rescored;
   rescored.reserve(want);
   for (size_t i = 0; i < want; ++i) {
-    rescored.emplace_back(ctx.batch_ids[i], ctx.batch_dists[i]);
+    rescored.emplace_back(ctx.batch_dists[i], ctx.batch_ids[i]);
   }
-  // Neighbor orders by (distance, id): equal exact distances tie-break on
+  // ScoredId orders by (distance, id): equal exact distances tie-break on
   // id, keeping the final ranking deterministic.
   std::sort(rescored.begin(), rescored.end());
+  if (rescored.size() > k) rescored.resize(k);
 
   ctx.WriteStats(stats);
   if (stats != nullptr) {
@@ -124,12 +125,7 @@ std::vector<uint32_t> QuantizedIndex::SearchWith(SearchScratch& scratch,
     stats->rescore_evals = rescore_counter.count;
     stats->distance_evals += rescore_counter.count;
   }
-  std::vector<uint32_t> result;
-  result.reserve(std::min<size_t>(k, rescored.size()));
-  for (size_t i = 0; i < rescored.size() && i < k; ++i) {
-    result.push_back(rescored[i].id);
-  }
-  return result;
+  return rescored;
 }
 
 }  // namespace weavess

@@ -48,9 +48,10 @@ class QuantizedIndex final : public AnnIndex {
 
   void Build(const Dataset& data) override;
 
-  std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
-                                   const SearchParams& params,
-                                   QueryStats* stats) const override;
+  std::vector<ScoredId> SearchScored(SearchScratch& scratch,
+                                     const float* query,
+                                     const SearchParams& params,
+                                     QueryStats* stats) const override;
 
   const CsrGraph& graph() const override;
 

@@ -5,11 +5,11 @@
 #include "core/check.h"
 #include "core/distance.h"
 #include "core/neighbor.h"
-#include "search/router.h"
 
 namespace weavess {
 
-FilteredSearcher::FilteredSearcher(AnnIndex* index, const Dataset* data,
+FilteredSearcher::FilteredSearcher(const AnnIndex* index,
+                                   const Dataset* data,
                                    std::vector<uint32_t> labels)
     : index_(index), data_(data), labels_(std::move(labels)) {
   WEAVESS_CHECK(index_ != nullptr && data_ != nullptr);
@@ -23,18 +23,17 @@ double FilteredSearcher::Selectivity(uint32_t label) const {
   return static_cast<double>(matches) / labels_.size();
 }
 
-std::vector<uint32_t> FilteredSearcher::Search(const float* query,
-                                               uint32_t label,
-                                               const SearchParams& params,
-                                               FilterStrategy strategy,
-                                               QueryStats* stats) {
+std::vector<uint32_t> FilteredSearcher::SearchWith(
+    SearchScratch& scratch, const float* query, uint32_t label,
+    const SearchParams& params, FilterStrategy strategy,
+    QueryStats* stats) const {
   if (strategy == FilterStrategy::kPostFilter) {
     // Over-fetch by the pool size (the natural inflation bound: the plain
     // search cannot return more than its pool), then keep matches.
     SearchParams inflated = params;
     inflated.k = std::max(params.pool_size, params.k);
     const std::vector<uint32_t> fetched =
-        index_->Search(query, inflated, stats);
+        index_->SearchWith(scratch, query, inflated, stats);
     std::vector<uint32_t> result;
     for (uint32_t id : fetched) {
       if (labels_[id] == label) {
@@ -54,16 +53,16 @@ std::vector<uint32_t> FilteredSearcher::Search(const float* query,
   probe.k = std::min<uint32_t>(8, params.k);
   probe.pool_size = std::min<uint32_t>(16, params.pool_size);
   QueryStats probe_stats;
-  const std::vector<uint32_t> entries =
-      index_->Search(query, probe, &probe_stats);
+  const std::vector<ScoredId> entries =
+      index_->SearchScored(scratch, query, probe, &probe_stats);
 
   // A probe that spent a whole budget answers the query itself, truncated:
   // its label matches are the best-so-far results.
   SearchParams walk;
   if (!budget.Left(probe_stats, &walk)) {
     std::vector<uint32_t> result;
-    for (uint32_t id : entries) {
-      if (labels_[id] == label) result.push_back(id);
+    for (const ScoredId& entry : entries) {
+      if (labels_[entry.id] == label) result.push_back(entry.id);
     }
     if (stats != nullptr) {
       stats->distance_evals = probe_stats.distance_evals;
@@ -73,25 +72,23 @@ std::vector<uint32_t> FilteredSearcher::Search(const float* query,
     return result;
   }
 
-  SearchContext ctx;
+  // The walk reuses the scratch the probe ran on; only the k-sized pool of
+  // matches is its own.
+  SearchContext& ctx = scratch.ctx;
   ctx.BeginQuery(data_->size());
   ctx.ArmBudget(walk.max_distance_evals, walk.time_budget_us, walk.clock);
   DistanceOracle oracle(*data_, &ctx.counter);
   const CsrGraph& graph = index_->graph();
-  CandidatePool routing(std::max(params.pool_size, params.k));
+  CandidatePool& routing = scratch.pool;
+  routing.Reset(std::max(params.pool_size, params.k));
   CandidatePool results(std::max(params.k, 1u));
   auto offer = [&](uint32_t id, float dist) {
     routing.Insert(Neighbor(id, dist));
     if (labels_[id] == label) results.Insert(Neighbor(id, dist));
   };
-  for (uint32_t id : entries) {
-    if (ctx.BudgetExhausted()) {
-      ctx.truncated = true;
-      break;
-    }
-    if (!ctx.visited.CheckAndMark(id)) {
-      offer(id, oracle.ToQuery(query, id));
-    }
+  // The probe's entries arrive scored: they seed the walk unevaluated.
+  for (const ScoredId& entry : entries) {
+    if (!ctx.visited.CheckAndMark(entry.id)) offer(entry.id, entry.distance);
   }
   size_t next;
   while ((next = routing.NextUnchecked()) != CandidatePool::kNpos) {
@@ -112,7 +109,7 @@ std::vector<uint32_t> FilteredSearcher::Search(const float* query,
     stats->distance_evals += probe_stats.distance_evals;
     stats->hops += probe_stats.hops;
   }
-  return results.TopIds(params.k);
+  return IdsOf(results.TopScored(params.k));
 }
 
 }  // namespace weavess

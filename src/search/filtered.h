@@ -30,22 +30,25 @@ enum class FilterStrategy {
 /// must outlive the searcher; labels.size() must equal the base size.
 class FilteredSearcher {
  public:
-  FilteredSearcher(AnnIndex* index, const Dataset* data,
+  FilteredSearcher(const AnnIndex* index, const Dataset* data,
                    std::vector<uint32_t> labels);
 
   /// k nearest neighbors of `query` whose label equals `label`. May return
-  /// fewer than k ids when the strategy exhausts its budget.
-  std::vector<uint32_t> Search(const float* query, uint32_t label,
-                               const SearchParams& params,
-                               FilterStrategy strategy,
-                               QueryStats* stats = nullptr);
+  /// fewer than k ids when the strategy exhausts its budget. Thread-
+  /// compatible like AnnIndex::SearchWith: the probe and the walk run on
+  /// caller-owned scratch, so concurrent calls on distinct scratch objects
+  /// are safe.
+  std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
+                                   uint32_t label, const SearchParams& params,
+                                   FilterStrategy strategy,
+                                   QueryStats* stats = nullptr) const;
 
   /// Fraction of base vectors carrying `label` (the selectivity that
   /// drives the post-filter vs during-routing tradeoff).
   double Selectivity(uint32_t label) const;
 
  private:
-  AnnIndex* index_;
+  const AnnIndex* index_;
   const Dataset* data_;
   std::vector<uint32_t> labels_;
 };

@@ -24,10 +24,10 @@ void GraphIndex::FinishBuild(CsrGraph graph,
   build_stats_ = stats;
 }
 
-std::vector<uint32_t> GraphIndex::SearchWith(SearchScratch& scratch,
-                                             const float* query,
-                                             const SearchParams& params,
-                                             QueryStats* stats) const {
+std::vector<ScoredId> GraphIndex::SearchScored(SearchScratch& scratch,
+                                               const float* query,
+                                               const SearchParams& params,
+                                               QueryStats* stats) const {
   WEAVESS_CHECK(seeds_ != nullptr && "index is not built");
   SearchContext& ctx = scratch.ctx;
   ctx.BeginQuery(csr_.size());
@@ -39,7 +39,7 @@ std::vector<uint32_t> GraphIndex::SearchWith(SearchScratch& scratch,
   seeds_->Seed(query, oracle, ctx, pool);
   Route(query, params, oracle, ctx, pool);
   ctx.WriteStats(stats);
-  return ExtractTopK(pool, params.k);
+  return pool.TopScored(params.k);
 }
 
 // flatten: with five routers instantiated in this one translation unit,

@@ -4,7 +4,7 @@
 // algorithms, NGT, HCNNG, k-DR, NSW, SPTAG and graphs loaded from disk.
 // Holding the frame fixed is what lets the paper compare seeding and
 // routing strategies in isolation (Fig. 10). HNSW runs the same stages in
-// its own SearchWith (its paged store grows and tombstones): the descent
+// its own SearchScored (its paged store grows and tombstones): the descent
 // seeds, level 0 routes. The SQ8, sharded and ML wrappers have their own
 // frames too; every frame counts a query's work in its SearchContext.
 #ifndef WEAVESS_SEARCH_GRAPH_INDEX_H_
@@ -36,9 +36,10 @@ enum class RoutingKind {
 /// the seed provider and the routing strategy over to the shared frame.
 class GraphIndex : public AnnIndex {
  public:
-  std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
-                                   const SearchParams& params,
-                                   QueryStats* stats = nullptr) const final;
+  std::vector<ScoredId> SearchScored(SearchScratch& scratch,
+                                     const float* query,
+                                     const SearchParams& params,
+                                     QueryStats* stats = nullptr) const final;
   const CsrGraph& graph() const final { return csr_; }
   /// The CSR graph + the seed provider's auxiliary structure.
   size_t IndexMemoryBytes() const final;

@@ -55,9 +55,6 @@ void SeedPool(const std::vector<uint32_t>& ids, const float* query,
   }
 }
 
-/// Copies the pool's closest k ids into a result vector.
-std::vector<uint32_t> ExtractTopK(const CandidatePool& pool, uint32_t k);
-
 namespace router_detail {
 
 // Trace helpers: one branch when tracing is off (the common case).

@@ -236,12 +236,12 @@ std::vector<uint32_t> MutableShardedIndex::Search(const float* query,
     pinned.push_back(shards_[s]->Pin());
   }
   ScratchPool::Lease scratch(scratch_pool_);
-  return ScatterGather(
+  return IdsOf(ScatterGather(
       num_shards, params, stats,
       [&](uint32_t s, const SearchParams& per_shard, QueryStats* shard_stats) {
         return SearchSnapshot(*pinned[s], scratch.get(), query, per_shard,
                               shard_stats);
-      });
+      }));
 }
 
 Status MutableShardedIndex::CompactShardLocked(uint32_t shard, bool log) {

@@ -117,25 +117,24 @@ std::vector<ScoredId> SearchSnapshot(const MutableShard::Snapshot& snapshot,
     return list;
   }
   QueryStats local_stats;
-  const std::vector<uint32_t> local_ids =
-      index.SearchWith(scratch, query, params, &local_stats);
+  const std::vector<ScoredId> local =
+      index.SearchScored(scratch, query, params, &local_stats);
   if (stats != nullptr) {
     stats->distance_evals = local_stats.distance_evals;
     stats->hops = local_stats.hops;
     stats->truncated = local_stats.truncated;
   }
-  list.reserve(local_ids.size());
-  for (uint32_t local : local_ids) {
+  list.reserve(local.size());
+  for (const ScoredId& entry : local) {
     // Tombstone enforcement at the merge boundary: the graph search already
     // filtered deleted ids, but the merged result is the serving contract,
     // so re-check before a candidate can cross into it.
-    if (index.IsDeleted(local)) continue;
-    list.emplace_back(L2Sqr(query, index.Vector(local), index.dim()),
-                      index.Label(local));
+    if (index.IsDeleted(entry.id)) continue;
+    list.emplace_back(entry.distance, index.Label(entry.id));
   }
-  // Global ids are assigned in insertion order per shard, but compaction
-  // remaps locals, so (unlike the static shards) local order does not imply
-  // global order — sort explicitly for the k-way merge.
+  // The search orders by distance alone (ties in reverse insertion order),
+  // and compaction remaps locals, so sort by (distance, global id) for the
+  // k-way merge, as the static legs do.
   std::sort(list.begin(), list.end());
   return list;
 }

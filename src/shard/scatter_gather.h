@@ -27,12 +27,13 @@ uint64_t SplitBudget(uint64_t total, uint32_t shard, uint32_t num_shards);
 
 /// Runs `leg(s, per_shard_params, &shard_stats)` for every shard s, each
 /// under its SplitBudget share of max_distance_evals and time_budget_us, and
-/// merges the legs' lists into the global top-params.k ids. A leg returns
-/// its shard's candidates as (distance, global id) sorted by (distance, id),
-/// and an empty list for an empty shard. `stats`, when given, is
-/// overwritten with the summed evals and hops and the OR of truncated.
+/// merges the legs' lists into the global top-params.k, sorted by
+/// (distance, id). A leg returns its shard's candidates as (distance, global
+/// id) sorted by (distance, id), and an empty list for an empty shard.
+/// `stats`, when given, is overwritten with the summed evals and hops and
+/// the OR of truncated.
 template <typename Leg>
-std::vector<uint32_t> ScatterGather(uint32_t num_shards,
+std::vector<ScoredId> ScatterGather(uint32_t num_shards,
                                     const SearchParams& params,
                                     QueryStats* stats, Leg&& leg) {
   QueryStats total;
@@ -50,9 +51,9 @@ std::vector<uint32_t> ScatterGather(uint32_t num_shards,
     total.hops += shard_stats.hops;
     total.truncated |= shard_stats.truncated;
   }
-  std::vector<uint32_t> ids = IdsOf(MergeTopK(lists, params.k));
+  std::vector<ScoredId> merged = MergeTopK(lists, params.k);
   if (stats != nullptr) *stats = total;
-  return ids;
+  return merged;
 }
 
 }  // namespace weavess

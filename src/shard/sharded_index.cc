@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/check.h"
-#include "core/distance.h"
 #include "core/graph_io.h"
 #include "core/thread_pool.h"
 #include "search/loaded_index.h"
@@ -140,37 +139,29 @@ void ShardedIndex::RecountDegraded() {
   degraded_count_.store(degraded, std::memory_order_release);
 }
 
-std::vector<uint32_t> ShardedIndex::SearchWith(SearchScratch& scratch,
-                                               const float* query,
-                                               const SearchParams& params,
-                                               QueryStats* stats) const {
+std::vector<ScoredId> ShardedIndex::SearchScored(SearchScratch& scratch,
+                                                 const float* query,
+                                                 const SearchParams& params,
+                                                 QueryStats* stats) const {
   const auto leg = [&](uint32_t s, const SearchParams& per_shard,
                        QueryStats* shard_stats) {
     const Shard& shard = shards_[s];
-    std::vector<ScoredId> list;
-    if (shard.ids.empty()) return list;
+    if (shard.ids.empty()) return std::vector<ScoredId>();
+    // A degraded or tiny shard is scanned exactly; its eval budget is a row
+    // cap, as in the serving fallback. Either way the distances are to the
+    // shard's own rows, byte-identical to the global ones.
     const bool exact_scan = shard.index == nullptr;
-    if (!exact_scan) {
-      const std::vector<uint32_t> local =
-          shard.index->SearchWith(scratch, query, per_shard, shard_stats);
-      list.reserve(local.size());
-      for (uint32_t lid : local) {
-        // Re-score against the shard's own row (byte-identical to the
-        // global row). The shard search already charged this distance to
-        // NDC; the merge re-score is bookkeeping, not new work.
-        list.emplace_back(
-            L2Sqr(query, shard.data.Row(lid), shard.data.dim()),
-            shard.ids[lid]);
-      }
-    } else {
-      // Degraded or tiny shard: its eval budget is a row cap, as in the
-      // serving fallback.
-      list = ExactScanTopK(shard.data, query, per_shard.k, /*max_rows=*/0,
-                           per_shard.max_distance_evals, shard_stats);
-      for (ScoredId& entry : list) entry.id = shard.ids[entry.id];
-    }
-    // Distance ties come back in local id order: global order only when the
-    // id map ascends, as every partitioner's does but no loader checks.
+    std::vector<ScoredId> list =
+        exact_scan ? ExactScanTopK(shard.data, query, per_shard.k,
+                                   /*max_rows=*/0,
+                                   per_shard.max_distance_evals, shard_stats)
+                   : shard.index->SearchScored(scratch, query, per_shard,
+                                               shard_stats);
+    for (ScoredId& entry : list) entry.id = shard.ids[entry.id];
+    // The leg's own order is by distance alone: a graph search returns
+    // distance ties in reverse insertion order (CandidatePool::Insert puts
+    // a newcomer ahead of its equals), and an id map need not ascend. This
+    // sort is what gives MergeTopK its (distance, global id) order.
     std::sort(list.begin(), list.end());
     if (TraceSink* trace = scratch.ctx.trace; trace != nullptr) {
       if (exact_scan) trace->Record(TraceEventKind::kShardFallback, s);

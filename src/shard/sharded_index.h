@@ -57,9 +57,9 @@ class ShardedIndex final : public AnnIndex {
 
   /// ScatterGather over the shards; the leg records each shard's trace
   /// events and shard.<s>.* counters.
-  std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
-                                   const SearchParams& params,
-                                   QueryStats* stats = nullptr) const override;
+  std::vector<ScoredId> SearchScored(
+      SearchScratch& scratch, const float* query, const SearchParams& params,
+      QueryStats* stats = nullptr) const override;
 
   /// The composed graph in global ids: shard adjacency translated through
   /// each shard's id map, rebuilt whole after Build, Load and RepairShard.

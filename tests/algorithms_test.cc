@@ -21,6 +21,7 @@
 namespace weavess {
 namespace {
 
+using ::weavess::testing::ExpectExactScores;
 using ::weavess::testing::Fnv;
 using ::weavess::testing::MakeTestWorkload;
 using ::weavess::testing::MeanRecall;
@@ -214,6 +215,35 @@ TEST(SearchTracePinTest, LoadedNsgGraph) {
   nsg->Build(base);
   const LoadedGraphIndex loaded(nsg->graph(), base, "NSG");
   ExpectTracePin(loaded, TracePins().at("LoadedGraph:NSG"));
+}
+
+// ---------- Scored results ----------
+//
+// SearchScored hands out the distance its frame computed for each result;
+// it must be the exact L2Sqr to that row, bit for bit, unbounded and under
+// a truncating budget.
+
+void ExpectExactScoresUnboundedAndBudgeted(const AnnIndex& index) {
+  const Workload& workload = SharedWorkload().workload;
+  SearchParams params;
+  params.k = 10;
+  params.pool_size = kPinPool;
+  for (const uint64_t budget : {uint64_t{0}, kPinBudget}) {
+    params.max_distance_evals = budget;
+    ExpectExactScores(index, workload.base, workload.queries, params);
+  }
+}
+
+TEST_P(AlgorithmFixture, SearchScoredCarriesExactDistances) {
+  auto index = CreateAlgorithm(GetParam(), SmallOptions());
+  index->Build(SharedWorkload().workload.base);
+  ExpectExactScoresUnboundedAndBudgeted(*index);
+}
+
+TEST(SearchScoredTest, QuantizedIndexCarriesItsExactRescore) {
+  auto index = CreateAlgorithm("SQ8:NSG", SmallOptions());
+  index->Build(SharedWorkload().workload.base);
+  ExpectExactScoresUnboundedAndBudgeted(*index);
 }
 
 // ---------- Index size (IS, Fig. 6) ----------

@@ -131,7 +131,7 @@ TEST(BudgetTest, DisconnectedGraphPartialResults) {
   CandidatePool pool(100);
   SeedPool({0}, tw.workload.queries.Row(1), oracle, ctx, pool);
   BestFirstSearch(graph, tw.workload.queries.Row(1), oracle, ctx, pool);
-  const std::vector<uint32_t> result = ExtractTopK(pool, 10);
+  const std::vector<uint32_t> result = IdsOf(pool.TopScored(10));
   EXPECT_TRUE(ctx.truncated);
   EXPECT_LT(result.size(), 10u) << "only 3 vertices are reachable";
   EXPECT_FALSE(result.empty()) << "budget must not discard the best-so-far";
@@ -221,7 +221,7 @@ TEST(BudgetTest, VirtualClockExpiryTruncatesImmediately) {
   SeedPool({0}, tw.workload.queries.Row(0), oracle, ctx, pool);
   BestFirstSearch(graph, tw.workload.queries.Row(0), oracle, ctx, pool);
   EXPECT_TRUE(ctx.truncated);
-  const std::vector<uint32_t> result = ExtractTopK(pool, 10);
+  const std::vector<uint32_t> result = IdsOf(pool.TopScored(10));
   EXPECT_FALSE(result.empty()) << "expiry must not discard the best-so-far";
   EXPECT_LT(result.size(), 10u) << "an expired walk cannot have converged";
 }
@@ -247,6 +247,7 @@ TEST(BudgetTest, FilteredDuringRoutingStaysWithinBudget) {
     std::vector<uint32_t> labels(tw.workload.base.size());
     for (uint32_t i = 0; i < labels.size(); ++i) labels[i] = i % 4;
     FilteredSearcher searcher(index.get(), &tw.workload.base, labels);
+    SearchScratch scratch;
     for (const uint64_t budget : {20u, 100u}) {
       SearchParams params;
       params.k = 10;
@@ -255,8 +256,9 @@ TEST(BudgetTest, FilteredDuringRoutingStaysWithinBudget) {
       for (uint32_t q = 0; q < tw.workload.queries.size(); ++q) {
         QueryStats stats;
         const auto result =
-            searcher.Search(tw.workload.queries.Row(q), q % 4, params,
-                            FilterStrategy::kDuringRouting, &stats);
+            searcher.SearchWith(scratch, tw.workload.queries.Row(q), q % 4,
+                                params, FilterStrategy::kDuringRouting,
+                                &stats);
         EXPECT_LE(stats.distance_evals, budget + max_out_degree)
             << "budget " << budget << ", query " << q;
         EXPECT_LE(result.size(), 10u);

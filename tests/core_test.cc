@@ -287,13 +287,22 @@ TEST(CandidatePoolTest, WorstDistanceInfiniteUntilFull) {
   EXPECT_FLOAT_EQ(pool.WorstDistance(), 2.0f);
 }
 
-TEST(CandidatePoolTest, TopIdsTruncates) {
+TEST(CandidatePoolTest, TopScoredTruncates) {
   CandidatePool pool(8);
   for (uint32_t i = 0; i < 5; ++i) pool.Insert({i, static_cast<float>(i)});
-  const auto top = pool.TopIds(3);
+  const auto top = pool.TopScored(3);
   ASSERT_EQ(top.size(), 3u);
-  EXPECT_EQ(top[0], 0u);
-  EXPECT_EQ(top[2], 2u);
+  EXPECT_TRUE(top[0] == ScoredId(0.0f, 0));
+  EXPECT_TRUE(top[2] == ScoredId(2.0f, 2));
+}
+
+TEST(CandidatePoolTest, DistanceTiesComeOutInReverseInsertionOrder) {
+  // Insert places a newcomer ahead of its equal-distance entries, so pool
+  // order is by distance alone; a caller that needs (distance, id) order
+  // (the shard legs before MergeTopK) must sort.
+  CandidatePool pool(4);
+  for (const uint32_t id : {3u, 7u, 5u}) pool.Insert({id, 1.0f});
+  EXPECT_EQ(IdsOf(pool.TopScored(3)), (std::vector<uint32_t>{5, 7, 3}));
 }
 
 // ---------- VisitedList ----------

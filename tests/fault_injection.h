@@ -183,9 +183,10 @@ class ChaosIndex : public AnnIndex {
     throw std::logic_error("ChaosIndex wraps an already-built index");
   }
 
-  std::vector<uint32_t> SearchWith(SearchScratch& scratch, const float* query,
-                                   const SearchParams& params,
-                                   QueryStats* stats) const override {
+  std::vector<ScoredId> SearchScored(SearchScratch& scratch,
+                                     const float* query,
+                                     const SearchParams& params,
+                                     QueryStats* stats) const override {
     if (config_.stall != nullptr) config_.stall->Wait();
     if (config_.broken != nullptr &&
         config_.broken->load(std::memory_order_relaxed)) {
@@ -200,14 +201,14 @@ class ChaosIndex : public AnnIndex {
       config_.clock->AdvanceMicros(config_.query_cost_us);
     }
     QueryStats local;
-    std::vector<uint32_t> ids =
-        inner_.SearchWith(scratch, query, params, &local);
+    std::vector<ScoredId> results =
+        inner_.SearchScored(scratch, query, params, &local);
     if (config_.clock != nullptr && config_.per_eval_cost_us > 0) {
       config_.clock->AdvanceMicros(local.distance_evals *
                                    config_.per_eval_cost_us);
     }
     if (stats != nullptr) *stats = local;
-    return ids;
+    return results;
   }
 
   const CsrGraph& graph() const override { return inner_.graph(); }

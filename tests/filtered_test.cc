@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "algorithms/registry.h"
 #include "core/distance.h"
@@ -59,7 +61,8 @@ class FilteredTest : public ::testing::Test {
     for (uint32_t q = 0; q < queries.size(); ++q) {
       const auto truth = BruteForce(queries.Row(q), label, 10);
       const auto result =
-          searcher_->Search(queries.Row(q), label, params, strategy);
+          searcher_->SearchWith(scratch_, queries.Row(q), label, params,
+                                strategy);
       total += Recall(result, truth, 10);
     }
     return total / queries.size();
@@ -69,6 +72,7 @@ class FilteredTest : public ::testing::Test {
   std::unique_ptr<AnnIndex> index_;
   std::vector<uint32_t> labels_;
   std::unique_ptr<FilteredSearcher> searcher_;
+  SearchScratch scratch_;
 };
 
 TEST_F(FilteredTest, SelectivityIsMeasuredCorrectly) {
@@ -82,8 +86,8 @@ TEST_F(FilteredTest, ResultsRespectTheLabelConstraint) {
   params.pool_size = 100;
   for (const FilterStrategy strategy :
        {FilterStrategy::kPostFilter, FilterStrategy::kDuringRouting}) {
-    const auto result = searcher_->Search(tw_.workload.queries.Row(0), 3,
-                                          params, strategy);
+    const auto result = searcher_->SearchWith(
+        scratch_, tw_.workload.queries.Row(0), 3, params, strategy);
     EXPECT_FALSE(result.empty());
     for (uint32_t id : result) EXPECT_EQ(labels_[id], 3u);
   }
@@ -107,8 +111,8 @@ TEST_F(FilteredTest, StatsAreAccumulated) {
   params.k = 10;
   params.pool_size = 80;
   QueryStats stats;
-  searcher_->Search(tw_.workload.queries.Row(1), 1, params,
-                    FilterStrategy::kDuringRouting, &stats);
+  searcher_->SearchWith(scratch_, tw_.workload.queries.Row(1), 1, params,
+                        FilterStrategy::kDuringRouting, &stats);
   EXPECT_GT(stats.distance_evals, 0u);
   EXPECT_GT(stats.hops, 0u);
 }
@@ -117,10 +121,62 @@ TEST_F(FilteredTest, UnknownLabelReturnsEmpty) {
   SearchParams params;
   params.k = 5;
   params.pool_size = 50;
-  const auto result = searcher_->Search(tw_.workload.queries.Row(0), 999,
-                                        params,
-                                        FilterStrategy::kDuringRouting);
+  const auto result = searcher_->SearchWith(
+      scratch_, tw_.workload.queries.Row(0), 999, params,
+      FilterStrategy::kDuringRouting);
   EXPECT_TRUE(result.empty());
+}
+
+TEST_F(FilteredTest, DuringRoutingOnOneSearcherFromFourThreads) {
+  // One const searcher shared by four threads, each with its own scratch:
+  // every thread runs every query (twice), and each answer must equal the
+  // one-thread run's ids and stats.
+  struct Answer {
+    std::vector<uint32_t> ids;
+    QueryStats stats;
+  };
+  SearchParams params;
+  params.k = 10;
+  params.pool_size = 60;
+  const Dataset& queries = tw_.workload.queries;
+  const FilteredSearcher& searcher = *searcher_;
+  auto run = [&](SearchScratch& scratch, uint32_t q) {
+    Answer answer;
+    answer.ids = searcher.SearchWith(scratch, queries.Row(q), q % 8, params,
+                                     FilterStrategy::kDuringRouting,
+                                     &answer.stats);
+    return answer;
+  };
+  std::vector<Answer> expected;
+  for (uint32_t q = 0; q < queries.size(); ++q) {
+    expected.push_back(run(scratch_, q));
+  }
+  constexpr uint32_t kThreads = 4;
+  constexpr uint32_t kRounds = 2;
+  std::vector<std::vector<Answer>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      SearchScratch scratch;
+      for (uint32_t round = 0; round < kRounds; ++round) {
+        for (uint32_t q = 0; q < queries.size(); ++q) {
+          got[t].push_back(run(scratch, q));
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), kRounds * queries.size());
+    for (size_t i = 0; i < got[t].size(); ++i) {
+      const Answer& want = expected[i % queries.size()];
+      SCOPED_TRACE(::testing::Message() << "thread " << t << ", run " << i);
+      EXPECT_EQ(got[t][i].ids, want.ids);
+      EXPECT_EQ(got[t][i].stats.distance_evals, want.stats.distance_evals);
+      EXPECT_EQ(got[t][i].stats.hops, want.stats.hops);
+      EXPECT_EQ(got[t][i].stats.truncated, want.stats.truncated);
+    }
+  }
 }
 
 }  // namespace

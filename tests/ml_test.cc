@@ -15,6 +15,7 @@
 namespace weavess {
 namespace {
 
+using ::weavess::testing::ExpectExactScores;
 using ::weavess::testing::MakeTestWorkload;
 using ::weavess::testing::MeanRecall;
 using ::weavess::testing::TestWorkload;
@@ -162,8 +163,8 @@ TEST(Ml2Test, AdaptiveBudgetVariesAcrossQueries) {
 TEST(Ml2Test, SearchSpendStaysWithinTheCallersBudget) {
   // The probe runs under the caller's budget and the main search gets
   // only what the probe left, so a query overshoots the budget by at most
-  // one adjacency list (the budget is checked per expansion) plus the two
-  // feature evaluations.
+  // one adjacency list (the budget is checked per expansion). The features
+  // are read off the probe's scored results and cost no evaluation.
   const TestWorkload& tw = SharedWorkload();
   AlgorithmOptions options;
   EarlyTerminationIndex::Params params;
@@ -182,11 +183,26 @@ TEST(Ml2Test, SearchSpendStaysWithinTheCallersBudget) {
       const std::vector<uint32_t> ids =
           index.Search(tw.workload.queries.Row(q), sp, &stats);
       EXPECT_FALSE(ids.empty());
-      EXPECT_LE(stats.distance_evals, budget + adjacency + 2)
+      EXPECT_LE(stats.distance_evals, budget + adjacency)
           << "budget " << budget << ", query " << q;
       if (stats.truncated) ++truncated;
     }
     EXPECT_EQ(truncated, tw.workload.queries.size()) << "budget " << budget;
+  }
+}
+
+TEST(Ml2Test, SearchScoredCarriesExactDistances) {
+  const TestWorkload& tw = SharedWorkload();
+  EarlyTerminationIndex::Params params;
+  params.train_queries = 60;
+  EarlyTerminationIndex index(CreateHnsw(AlgorithmOptions{}), params);
+  index.Build(tw.workload.base);
+  SearchParams sp;
+  sp.k = 10;
+  sp.pool_size = 100;
+  for (const uint64_t budget : {uint64_t{0}, uint64_t{20}}) {
+    sp.max_distance_evals = budget;
+    ExpectExactScores(index, tw.workload.base, tw.workload.queries, sp);
   }
 }
 
@@ -218,6 +234,18 @@ TEST(Ml1Test, SurrogateRoutingKeepsReasonableRecall) {
   ml1.Build(tw.workload.base);
   const double recall = MeanRecall(ml1, tw, 10, 150);
   EXPECT_GT(recall, 0.75);
+}
+
+TEST(Ml1Test, SearchScoredCarriesExactDistances) {
+  const TestWorkload& tw = SharedWorkload();
+  LearnedRoutingIndex::Params params;
+  params.num_landmarks = 32;
+  LearnedRoutingIndex ml1(CreateNsg(AlgorithmOptions{}), params);
+  ml1.Build(tw.workload.base);
+  SearchParams sp;
+  sp.k = 10;
+  sp.pool_size = 80;
+  ExpectExactScores(ml1, tw.workload.base, tw.workload.queries, sp);
 }
 
 TEST(Ml1Test, FilteringReducesDistanceEvaluationsPerHop) {

@@ -261,7 +261,7 @@ TEST(PersistenceTest, EveryRegistryAlgorithmRoundTrips) {
         CandidatePool pool(30);
         SeedPool(seeds, query, oracle, ctx, pool);
         BestFirstSearch(*graph, query, oracle, ctx, pool);
-        results.push_back(ExtractTopK(pool, 10));
+        results.push_back(IdsOf(pool.TopScored(10)));
       }
       EXPECT_EQ(results[0], results[1]) << "query " << q;
     }

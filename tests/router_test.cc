@@ -53,7 +53,7 @@ class RouterTest : public ::testing::Test {
       SeedPool({0, 100, 200, 300}, workload_.queries.Row(q), oracle, ctx,
                pool);
       route(workload_.queries.Row(q), oracle, ctx, pool);
-      total += Recall(ExtractTopK(pool, 10), truth_[q], 10);
+      total += Recall(IdsOf(pool.TopScored(10)), truth_[q], 10);
     }
     return total / workload_.queries.size();
   }

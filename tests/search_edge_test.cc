@@ -57,12 +57,12 @@ TEST(SearchEdgeTest, PoolCapacityOne) {
   EXPECT_EQ(pool.NextUnchecked(), CandidatePool::kNpos);
 }
 
-TEST(SearchEdgeTest, ExtractTopKWithSmallPool) {
+TEST(SearchEdgeTest, TopScoredWithSmallPool) {
   CandidatePool pool(8);
   pool.Insert({1, 1.0f});
   pool.Insert({2, 2.0f});
-  const auto ids = ExtractTopK(pool, 5);
-  EXPECT_EQ(ids.size(), 2u);  // only what exists
+  const auto top = pool.TopScored(5);
+  EXPECT_EQ(top.size(), 2u);  // only what exists
 }
 
 TEST(SearchEdgeTest, BestFirstOnEdgelessGraphReturnsSeedsOnly) {

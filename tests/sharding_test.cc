@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "algorithms/registry.h"
@@ -24,6 +25,7 @@
 namespace weavess {
 namespace {
 
+using ::weavess::testing::ExpectExactScores;
 using ::weavess::testing::FlipBit;
 using ::weavess::testing::Fnv;
 using ::weavess::testing::MakeTestWorkload;
@@ -249,6 +251,45 @@ TEST(ShardedSearchTest, DescendingIdMapStillMergesInDistanceThenIdOrder) {
   EXPECT_EQ((*loaded_or)->Search(query.data(), params),
             BruteForceTopK(base, query.data(), rows));
 }
+
+// The merged list is MergeTopK's: strictly ascending by (distance, global
+// id), each distance the one the shard's search computed on its own row
+// copy, bit-equal to L2Sqr to the global row. Unbounded and under a
+// 90-eval budget.
+class ShardedScoredTest
+    : public ::testing::TestWithParam<std::tuple<uint32_t, std::string>> {};
+
+TEST_P(ShardedScoredTest, MergedListIsExactAndOrderedByDistanceThenId) {
+  const auto& [num_shards, algorithm] = GetParam();
+  const TestWorkload& tw = SharedWorkload();
+  auto index = CreateAlgorithm("Sharded:" + algorithm,
+                               ShardedOptions(num_shards));
+  index->Build(tw.workload.base);
+  SearchParams params;
+  params.k = 10;
+  params.pool_size = 40;
+  for (const uint64_t budget : {uint64_t{0}, uint64_t{90}}) {
+    params.max_distance_evals = budget;
+    const std::vector<std::vector<ScoredId>> lists = ExpectExactScores(
+        *index, tw.workload.base, tw.workload.queries, params);
+    for (const std::vector<ScoredId>& merged : lists) {
+      EXPECT_FALSE(merged.empty());
+      for (size_t i = 1; i < merged.size(); ++i) {
+        EXPECT_TRUE(merged[i - 1] < merged[i])
+            << "budget " << budget << ", entry " << i;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShardsByAlgorithm, ShardedScoredTest,
+    ::testing::Combine(::testing::Values(1u, 3u, 4u),
+                       ::testing::Values("HNSW", "NSG")),
+    [](const auto& info) {
+      return std::get<1>(info.param) + "_" +
+             std::to_string(std::get<0>(info.param)) + "shards";
+    });
 
 // ------------------------------------------------- determinism
 

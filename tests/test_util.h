@@ -3,10 +3,15 @@
 #ifndef WEAVESS_TESTS_TEST_UTIL_H_
 #define WEAVESS_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "core/distance.h"
 #include "core/index.h"
 #include "eval/ground_truth.h"
 #include "eval/synthetic.h"
@@ -49,6 +54,35 @@ inline double MeanRecall(AnnIndex& index, const TestWorkload& tw, uint32_t k,
     total += Recall(result, tw.truth[q], k);
   }
   return total / tw.workload.queries.size();
+}
+
+/// Checks SearchScored's contract for every row of `queries` under
+/// `params`: at most k entries, closest first, each distance bit-equal to
+/// L2Sqr to the returned row of `base`, and SearchWith returning the same
+/// ids. Returns each query's list for further checks.
+inline std::vector<std::vector<ScoredId>> ExpectExactScores(
+    const AnnIndex& index, const Dataset& base, const Dataset& queries,
+    const SearchParams& params) {
+  SearchScratch scratch;
+  std::vector<std::vector<ScoredId>> lists;
+  for (uint32_t q = 0; q < queries.size(); ++q) {
+    SCOPED_TRACE(::testing::Message() << index.name() << ", query " << q);
+    const float* query = queries.Row(q);
+    std::vector<ScoredId> scored = index.SearchScored(scratch, query, params);
+    EXPECT_LE(scored.size(), params.k);
+    for (size_t i = 0; i < scored.size(); ++i) {
+      const float exact = L2Sqr(query, base.Row(scored[i].id), base.dim());
+      EXPECT_EQ(std::bit_cast<uint32_t>(scored[i].distance),
+                std::bit_cast<uint32_t>(exact))
+          << "entry " << i << ": " << scored[i].distance << " vs " << exact;
+      if (i > 0) {
+        EXPECT_LE(scored[i - 1].distance, scored[i].distance);
+      }
+    }
+    EXPECT_EQ(IdsOf(scored), index.SearchWith(scratch, query, params));
+    lists.push_back(std::move(scored));
+  }
+  return lists;
 }
 
 /// Streaming FNV-1a 64 over raw bytes: the hash behind the trace and
