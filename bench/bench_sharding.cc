@@ -7,8 +7,11 @@
 // Each sweep point prints a table row and emits one machine-readable JSON
 // line:
 //   {"bench":"sharding","algo":...,"partitioner":...,"num_shards":...,
-//    "recall":...,"qps":...,"ndc":...,"path_len":...,"build_seconds":...,
-//    "index_mb":...}
+//    "recall":...,"qps":...,"qps_4t":...,"ndc":...,"path_len":...,
+//    "build_seconds":...,"index_mb":...}
+// `qps` is one query stream (a 1-thread engine, whose sharded queries fan
+// their legs out over the shared pool); `qps_4t` is a 4-thread SearchBatch
+// over the same queries, four streams that each run their legs inline.
 // After each partitioner sweep the largest shard count is re-run with the
 // metrics registry attached and one snapshot line is emitted
 // (docs/OBSERVABILITY.md):
@@ -73,7 +76,7 @@ void Run() {
       std::printf("\n%s / Sharded:%s, %s partitioner, L=%u (n=%u)\n",
                   datasets.front().c_str(), algo.c_str(),
                   options.partitioner.c_str(), pool, workload.base.size());
-      TablePrinter table({"Shards", "Recall@10", "QPS", "NDC", "PL",
+      TablePrinter table({"Shards", "Recall@10", "QPS", "QPS4T", "NDC", "PL",
                           "BuildS", "IndexMB"});
       for (const ShardingPoint& point :
            EvaluateSharding(algo, options, workload.base, workload.queries,
@@ -83,17 +86,20 @@ void Run() {
         table.AddRow({TablePrinter::Int(point.num_shards),
                       TablePrinter::Fixed(point.search.recall, 3),
                       TablePrinter::Fixed(point.search.qps, 0),
+                      TablePrinter::Fixed(point.qps_4t, 0),
                       TablePrinter::Fixed(point.search.mean_ndc, 0),
                       TablePrinter::Fixed(point.search.mean_hops, 0),
                       TablePrinter::Fixed(point.build_seconds, 2),
                       TablePrinter::Fixed(index_mb, 2)});
         std::printf(
             "{\"bench\":\"sharding\",\"algo\":\"%s\",\"partitioner\":\"%s\","
-            "\"num_shards\":%u,\"recall\":%.4f,\"qps\":%.1f,\"ndc\":%.1f,"
-            "\"path_len\":%.1f,\"build_seconds\":%.3f,\"index_mb\":%.2f}\n",
+            "\"num_shards\":%u,\"recall\":%.4f,\"qps\":%.1f,\"qps_4t\":%.1f,"
+            "\"ndc\":%.1f,\"path_len\":%.1f,\"build_seconds\":%.3f,"
+            "\"index_mb\":%.2f}\n",
             algo.c_str(), options.partitioner.c_str(), point.num_shards,
-            point.search.recall, point.search.qps, point.search.mean_ndc,
-            point.search.mean_hops, point.build_seconds, index_mb);
+            point.search.recall, point.search.qps, point.qps_4t,
+            point.search.mean_ndc, point.search.mean_hops, point.build_seconds,
+            index_mb);
       }
       table.Print();
 

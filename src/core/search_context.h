@@ -125,6 +125,11 @@ struct SearchScratch {
 
   SearchContext ctx;
   CandidatePool pool{1};
+  /// One child scratch per shard leg, grown to the shard count on a
+  /// sharded query's first fan-out. A fanned-out leg s always runs on
+  /// legs[s], so legs can run at the same time and a steady-state sharded
+  /// query allocates no scratch; legs run inline share legs[0].
+  std::vector<std::unique_ptr<SearchScratch>> legs;
 };
 
 /// Free list of scratch shared by concurrent searchers (the query engine

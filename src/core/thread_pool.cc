@@ -4,6 +4,13 @@
 
 namespace weavess {
 
+namespace {
+
+// Whether this thread is inside a task of a parallel batch (InParallelTask).
+thread_local bool t_in_parallel_task = false;
+
+}  // namespace
+
 ThreadPool::ThreadPool(uint32_t num_workers) {
   threads_.reserve(num_workers);
   for (uint32_t i = 0; i < num_workers; ++i) {
@@ -20,11 +27,15 @@ ThreadPool::~ThreadPool() {
   for (std::thread& thread : threads_) thread.join();
 }
 
+bool ThreadPool::InParallelTask() { return t_in_parallel_task; }
+
 void ThreadPool::DrainBatch(Batch& batch) {
+  const bool outer = t_in_parallel_task;
+  t_in_parallel_task = outer || batch.parallel;
   for (;;) {
     const uint32_t task =
         batch.next_task.fetch_add(1, std::memory_order_relaxed);
-    if (task >= batch.num_tasks) return;
+    if (task >= batch.num_tasks) break;
     std::exception_ptr error;
     try {
       (*batch.body)(task);
@@ -37,6 +48,7 @@ void ThreadPool::DrainBatch(Batch& batch) {
     }
     if (--batch.unfinished == 0) batch.done_cv.notify_all();
   }
+  t_in_parallel_task = outer;
 }
 
 void ThreadPool::WorkerLoop() {
@@ -64,9 +76,9 @@ void ThreadPool::RunTasks(uint32_t num_tasks,
   batch->body = &body;
   batch->num_tasks = num_tasks;
   batch->unfinished = num_tasks;
+  batch->parallel = !threads_.empty() && num_tasks > 1;
 
-  const bool enlist_workers = !threads_.empty() && num_tasks > 1;
-  if (enlist_workers) {
+  if (batch->parallel) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       pending_.push_back(batch);
@@ -78,7 +90,7 @@ void ThreadPool::RunTasks(uint32_t num_tasks,
 
   std::unique_lock<std::mutex> lock(mu_);
   batch->done_cv.wait(lock, [&] { return batch->unfinished == 0; });
-  if (enlist_workers) {
+  if (batch->parallel) {
     // Remove the (now exhausted) batch so the queue cannot grow while the
     // workers are parked.
     auto it = std::find(pending_.begin(), pending_.end(), batch);

@@ -13,6 +13,12 @@
 // Exception safety: the first exception thrown by any task is captured and
 // rethrown on the calling thread after every claimed task has finished.
 // Remaining tasks still run (in-flight workers cannot be cancelled).
+//
+// Streams: a batch of more than one task on a pool with workers runs as
+// several parallel execution streams, and every thread running one of its
+// tasks (caller or worker) is marked as such for the task's duration
+// (InParallelTask). Work that could fan out again, like a sharded search's
+// legs, reads the mark to stay on its own stream instead.
 #ifndef WEAVESS_CORE_THREAD_POOL_H_
 #define WEAVESS_CORE_THREAD_POOL_H_
 
@@ -51,10 +57,17 @@ class ThreadPool {
   /// Rethrows the first task exception after the batch completes.
   void RunTasks(uint32_t num_tasks, const std::function<void(uint32_t)>& body);
 
+  /// True while the calling thread runs a task of a batch that enlisted
+  /// pool workers (more than one task on a pool with workers), directly or
+  /// through nested batches of any pool: the thread is then one of several
+  /// parallel execution streams.
+  static bool InParallelTask();
+
  private:
   struct Batch {
     const std::function<void(uint32_t)>* body = nullptr;
     uint32_t num_tasks = 0;
+    bool parallel = false;  // enlisted the pool's workers
     std::atomic<uint32_t> next_task{0};
     uint32_t unfinished = 0;          // guarded by the pool mutex
     std::exception_ptr first_error;   // guarded by the pool mutex

@@ -166,6 +166,9 @@ std::vector<ShardingPoint> EvaluateSharding(
     point.index_bytes = index->IndexMemoryBytes();
     point.search = EvaluateSearch(*index, queries, truth, params,
                                   base.size());
+    const SearchEngine four_streams(*index, /*num_threads=*/4);
+    point.qps_4t =
+        EvaluateSearch(four_streams, queries, truth, params, base.size()).qps;
     points.push_back(std::move(point));
   }
   return points;

@@ -105,8 +105,13 @@ CandidateSizeResult FindCandidateSize(AnnIndex& index, const Dataset& queries,
 /// off as the shard count grows (docs/SHARDING.md).
 struct ShardingPoint {
   uint32_t num_shards = 0;
-  /// Fixed-params evaluation of the sharded index (recall/QPS/NDC/PL).
+  /// Fixed-params evaluation of the sharded index (recall/QPS/NDC/PL)
+  /// through a single-threaded engine: one query stream, whose legs fan out
+  /// over the shared pool.
   SearchPoint search;
+  /// QPS of the same queries through a 4-thread SearchBatch: four query
+  /// streams, each running its legs inline (docs/CONCURRENCY.md).
+  double qps_4t = 0.0;
   double build_seconds = 0.0;
   uint64_t build_distance_evals = 0;
   size_t index_bytes = 0;
@@ -114,8 +119,9 @@ struct ShardingPoint {
 
 /// Builds "Sharded:<algorithm>" once per entry of `shard_counts` (same
 /// options apart from num_shards) and evaluates each at fixed `params`
-/// through a single-threaded engine. `algorithm` is a base registry name;
-/// a shard count of 1 is the unsharded baseline in the same harness.
+/// through a single-threaded engine, then times the same queries through a
+/// 4-thread one. `algorithm` is a base registry name; a shard count of 1 is
+/// the unsharded baseline in the same harness.
 std::vector<ShardingPoint> EvaluateSharding(
     const std::string& algorithm, const AlgorithmOptions& options,
     const Dataset& base, const Dataset& queries, const GroundTruth& truth,

@@ -94,6 +94,17 @@ class TraceSink {
     events_.push_back(TraceEvent{kind, id, value});
   }
 
+  /// Records `other`'s events in order, then adds its dropped count. When
+  /// `other` could hold at least this sink's free room, the result is what
+  /// recording `other`'s events here directly would have left: how a
+  /// sharded query replays its legs' sinks in shard order.
+  void Append(const TraceSink& other) {
+    for (const TraceEvent& event : other.events_) {
+      Record(event.kind, event.id, event.value);
+    }
+    dropped_ += other.dropped_;
+  }
+
   /// Empties the sink for reuse by the next query.
   void Clear() {
     events_.clear();

@@ -16,6 +16,12 @@
 // Thread safety: SearchBatch/SearchOne are const and safe to call from many
 // producer threads concurrently — scratch is leased from the ScratchPool
 // (core/search_context.h) per query, never keyed by worker identity.
+//
+// Sharded indexes: SearchOne and a batch on one execution stream let a
+// sharded index fan its legs out over the shared pool; a batch on more than
+// one stream runs each query's legs on its own task (ThreadPool's
+// InParallelTask), so a saturated batch never pays for a second level of
+// fan-out (docs/CONCURRENCY.md).
 #ifndef WEAVESS_SEARCH_ENGINE_H_
 #define WEAVESS_SEARCH_ENGINE_H_
 

@@ -232,13 +232,16 @@ class ServingEngine {
   const ShardedIndex* sharded_index() const { return sharded_; }
 
   /// One request, executed on the calling thread. Thread-safe: concurrent
-  /// callers contend for admission slots exactly like real traffic.
+  /// callers contend for admission slots exactly like real traffic. A
+  /// sharded backend fans its legs out over the shared pool, unless the
+  /// caller is itself a task of a multi-stream batch.
   ServeOutcome Serve(const float* query, const RequestOptions& request = {});
 
   /// A burst of requests sharing one RequestOptions: admission and tier
   /// decisions for the whole burst are made first, in query order, then the
   /// admitted queries fan across the engine's threads. Capacity therefore
-  /// bounds how much of a single burst is absorbed.
+  /// bounds how much of a single burst is absorbed. With more than one
+  /// execution stream each query runs a sharded backend's legs inline.
   ServeBatchResult ServeBatch(const Dataset& queries,
                               const RequestOptions& request = {});
   ServeBatchResult ServeBatch(const std::vector<const float*>& queries,

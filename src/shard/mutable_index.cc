@@ -237,9 +237,10 @@ std::vector<uint32_t> MutableShardedIndex::Search(const float* query,
   }
   ScratchPool::Lease scratch(scratch_pool_);
   return IdsOf(ScatterGather(
-      num_shards, params, stats,
-      [&](uint32_t s, const SearchParams& per_shard, QueryStats* shard_stats) {
-        return SearchSnapshot(*pinned[s], scratch.get(), query, per_shard,
+      num_shards, scratch.get(), params, stats,
+      [&](uint32_t s, SearchScratch& leg_scratch,
+          const SearchParams& per_shard, QueryStats* shard_stats) {
+        return SearchSnapshot(*pinned[s], leg_scratch, query, per_shard,
                               shard_stats);
       }));
 }

@@ -5,9 +5,10 @@
 //     generations through one atomic pointer; queries pin per-shard
 //     snapshots and never block on (or observe a torn state from) writers.
 //   * Scatter-gather with tombstone enforcement — Search runs the shared
-//     ScatterGather (shard/scatter_gather.h) over the pinned snapshots;
-//     deleted ids keep routing inside the graph but are filtered both at
-//     extraction and again at the merge boundary.
+//     ScatterGather (shard/scatter_gather.h) over the pinned snapshots, its
+//     legs at the same time on the shared pool; deleted ids keep routing
+//     inside the graph but are filtered both at extraction and again at the
+//     merge boundary.
 //   * Crash-safe generational persistence — every mutation appends a
 //     CRC32C-framed record to a write-ahead log before it is applied, and
 //     Commit() seals a generation (kCommit frame + flush + atomic
@@ -24,11 +25,12 @@
 //
 // Concurrency contract: Search is const and safe from any number of threads
 // concurrently with any mutation. It never waits on writers or compaction:
-// its only lock is the scratch pool's mutex, held for one pointer push or
-// pop. Mutators and Commit serialize on one writer mutex. CompactShard
-// holds the writer mutex for the rebuild — concurrent *mutations* stall
-// briefly, readers never do (they keep serving the pre-compaction snapshot
-// until the atomic swap).
+// its only locks are the scratch pool's mutex, held for one pointer push or
+// pop, and the shared thread pool's, held to hand out and join its legs
+// (docs/CONCURRENCY.md). Mutators and Commit serialize on one writer mutex.
+// CompactShard holds the writer mutex for the rebuild — concurrent
+// *mutations* stall briefly, readers never do (they keep serving the
+// pre-compaction snapshot until the atomic swap).
 #ifndef WEAVESS_SHARD_MUTABLE_INDEX_H_
 #define WEAVESS_SHARD_MUTABLE_INDEX_H_
 
@@ -114,8 +116,11 @@ class MutableShardedIndex {
 
   /// k nearest live ids: ScatterGather with SearchSnapshot as the leg, over
   /// snapshots pinned up front, on scratch leased from the index's
-  /// ScratchPool. Never blocks on writers or compaction, at any concurrency;
-  /// the pool's mutex is held only for one pointer push or pop.
+  /// ScratchPool (each fanned-out leg on its own child of the leased
+  /// scratch). The legs fan out over the shared pool, or run in shard order
+  /// on the calling thread when it is already a task of a multi-stream
+  /// batch.
+  /// Never blocks on writers or compaction, at any concurrency.
   std::vector<uint32_t> Search(const float* query, const SearchParams& params,
                                QueryStats* stats = nullptr) const;
 

@@ -1,17 +1,22 @@
 // Scatter-gather search over shards: the one fan-out that both the static
 // ShardedIndex and the mutable MutableShardedIndex search through
 // (docs/SHARDING.md). A tier supplies the per-shard leg; ScatterGather
-// splits the budgets, runs the legs in shard order on the calling thread,
-// k-way merges their lists with global dedup (core/topk_merge.h) and sums
-// their stats, so results are a pure function of the legs' answers.
+// splits the budgets, runs the legs at the same time on the shared pool
+// (or in shard order on the calling thread, for a query that is already one
+// of several parallel streams), then k-way merges their lists with global
+// dedup (core/topk_merge.h), sums their stats, replays their traces and
+// reports their failures in shard order. Results, stats, traces and errors
+// are a pure function of the legs' answers, whatever the schedule
+// (docs/CONCURRENCY.md).
 #ifndef WEAVESS_SHARD_SCATTER_GATHER_H_
 #define WEAVESS_SHARD_SCATTER_GATHER_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/index.h"
-#include "core/topk_merge.h"
+#include "core/search_context.h"
 
 namespace weavess {
 
@@ -25,36 +30,35 @@ uint64_t DeriveShardSeed(uint64_t base_seed, uint32_t shard);
 /// budget of 0 would be unlimited, inverting the intent).
 uint64_t SplitBudget(uint64_t total, uint32_t shard, uint32_t num_shards);
 
-/// Runs `leg(s, per_shard_params, &shard_stats)` for every shard s, each
-/// under its SplitBudget share of max_distance_evals and time_budget_us, and
-/// merges the legs' lists into the global top-params.k, sorted by
-/// (distance, id). A leg returns its shard's candidates as (distance, global
-/// id) sorted by (distance, id), and an empty list for an empty shard.
-/// `stats`, when given, is overwritten with the summed evals and hops and
-/// the OR of truncated.
-template <typename Leg>
+/// One shard's search inside ScatterGather: the shard, the leg's own child
+/// scratch, the shard's params and the leg's stats, to the shard's
+/// candidates as (distance, global id) sorted by (distance, id); an empty
+/// list for an empty shard. Legs of one query may run at the same time, so
+/// a leg touches only its own scratch, stats and list, and anything it
+/// shares with other legs must be safe to use concurrently (atomic
+/// counters, the immutable index).
+using ShardLeg = std::function<std::vector<ScoredId>(
+    uint32_t shard, SearchScratch& scratch, const SearchParams& params,
+    QueryStats* stats)>;
+
+/// Runs `leg` for every shard s under its SplitBudget share of
+/// max_distance_evals and time_budget_us, and merges the legs' lists into
+/// the global top-params.k, sorted by (distance, id). The legs fan out over
+/// the shared pool, the caller working through legs too, leg s on
+/// scratch.legs[s] (grown on first use), unless the caller is already a
+/// task of a multi-stream batch (ThreadPool::InParallelTask): then they run
+/// in shard order on the calling thread, all on scratch.legs[0], stopping
+/// at the first leg that throws. After the legs
+/// have finished, the gather walks them in shard order: each leg's trace
+/// (recorded into its own sink when scratch.ctx.trace is armed) is replayed
+/// into the caller's sink, and the first leg that threw has its exception
+/// rethrown, so a failure and the events before it are the same as a
+/// sequential run's. `stats`, when given and no leg threw, is overwritten
+/// with the summed evals and hops and the OR of truncated.
 std::vector<ScoredId> ScatterGather(uint32_t num_shards,
+                                    SearchScratch& scratch,
                                     const SearchParams& params,
-                                    QueryStats* stats, Leg&& leg) {
-  QueryStats total;
-  std::vector<std::vector<ScoredId>> lists;
-  lists.reserve(num_shards);
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    SearchParams per_shard = params;
-    per_shard.max_distance_evals =
-        SplitBudget(params.max_distance_evals, s, num_shards);
-    per_shard.time_budget_us =
-        SplitBudget(params.time_budget_us, s, num_shards);
-    QueryStats shard_stats;
-    lists.push_back(leg(s, per_shard, &shard_stats));
-    total.distance_evals += shard_stats.distance_evals;
-    total.hops += shard_stats.hops;
-    total.truncated |= shard_stats.truncated;
-  }
-  std::vector<ScoredId> merged = MergeTopK(lists, params.k);
-  if (stats != nullptr) *stats = total;
-  return merged;
-}
+                                    QueryStats* stats, const ShardLeg& leg);
 
 }  // namespace weavess
 

@@ -8,6 +8,7 @@
 #include "core/check.h"
 #include "core/graph_io.h"
 #include "core/thread_pool.h"
+#include "core/topk_merge.h"
 #include "search/loaded_index.h"
 
 namespace weavess {
@@ -143,7 +144,8 @@ std::vector<ScoredId> ShardedIndex::SearchScored(SearchScratch& scratch,
                                                  const float* query,
                                                  const SearchParams& params,
                                                  QueryStats* stats) const {
-  const auto leg = [&](uint32_t s, const SearchParams& per_shard,
+  const auto leg = [&](uint32_t s, SearchScratch& leg_scratch,
+                       const SearchParams& per_shard,
                        QueryStats* shard_stats) {
     const Shard& shard = shards_[s];
     if (shard.ids.empty()) return std::vector<ScoredId>();
@@ -155,7 +157,7 @@ std::vector<ScoredId> ShardedIndex::SearchScored(SearchScratch& scratch,
         exact_scan ? ExactScanTopK(shard.data, query, per_shard.k,
                                    /*max_rows=*/0,
                                    per_shard.max_distance_evals, shard_stats)
-                   : shard.index->SearchScored(scratch, query, per_shard,
+                   : shard.index->SearchScored(leg_scratch, query, per_shard,
                                                shard_stats);
     for (ScoredId& entry : list) entry.id = shard.ids[entry.id];
     // The leg's own order is by distance alone: a graph search returns
@@ -163,7 +165,7 @@ std::vector<ScoredId> ShardedIndex::SearchScored(SearchScratch& scratch,
     // a newcomer ahead of its equals), and an id map need not ascend. This
     // sort is what gives MergeTopK its (distance, global id) order.
     std::sort(list.begin(), list.end());
-    if (TraceSink* trace = scratch.ctx.trace; trace != nullptr) {
+    if (TraceSink* trace = leg_scratch.ctx.trace; trace != nullptr) {
       if (exact_scan) trace->Record(TraceEventKind::kShardFallback, s);
       trace->Record(TraceEventKind::kShardSearch, s,
                     shard_stats->distance_evals);
@@ -177,7 +179,7 @@ std::vector<ScoredId> ShardedIndex::SearchScored(SearchScratch& scratch,
     }
     return list;
   };
-  return ScatterGather(num_shards(), params, stats, leg);
+  return ScatterGather(num_shards(), scratch, params, stats, leg);
 }
 
 size_t ShardedIndex::IndexMemoryBytes() const {

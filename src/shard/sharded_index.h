@@ -8,8 +8,11 @@
 //     thread-count invariant, so the composed index is bit-for-bit
 //     identical at any thread count and for any shard-build completion
 //     order.
-//   * Search — one ScatterGather (shard/scatter_gather.h), so results are
-//     a pure function of (index, query bytes, params).
+//   * Search — one ScatterGather (shard/scatter_gather.h): the shards'
+//     legs run at the same time on the shared pool, each on its own child
+//     scratch, and are gathered in shard order, so results, stats, traces
+//     and failures are a pure function of (index, query bytes, params)
+//     whatever the schedule.
 //
 // Degraded shards: a shard whose graph file fails its checksummed load
 // keeps serving via an exact scan over its own rows while every other shard
@@ -55,8 +58,11 @@ class ShardedIndex final : public AnnIndex {
   /// must outlive the index.
   void Build(const Dataset& data) override;
 
-  /// ScatterGather over the shards; the leg records each shard's trace
-  /// events and shard.<s>.* counters.
+  /// ScatterGather over the shards. Each leg searches its shard on
+  /// scratch.legs[s] and records the shard's trace events (into its own
+  /// sink, replayed in shard order) and shard.<s>.* counters. The legs fan
+  /// out over the shared pool unless the caller is already a task of a
+  /// multi-stream batch (ThreadPool::InParallelTask).
   std::vector<ScoredId> SearchScored(
       SearchScratch& scratch, const float* query, const SearchParams& params,
       QueryStats* stats = nullptr) const override;

@@ -74,6 +74,33 @@ TEST(ThreadPoolTest, ReusableAfterException) {
   EXPECT_EQ(calls.load(), 32);
 }
 
+TEST(ThreadPoolTest, MarksTasksOfParallelBatchesOnly) {
+  EXPECT_FALSE(ThreadPool::InParallelTask());
+  ThreadPool pool(2);
+  ThreadPool no_workers(0);
+  std::atomic<int> marked{0};
+  std::atomic<int> nested_marked{0};
+  pool.RunTasks(16, [&](uint32_t) {
+    if (ThreadPool::InParallelTask()) ++marked;
+    // A nested one-stream batch keeps the outer batch's mark.
+    no_workers.RunTasks(2, [&](uint32_t) {
+      if (ThreadPool::InParallelTask()) ++nested_marked;
+    });
+  });
+  EXPECT_EQ(marked.load(), 16);
+  EXPECT_EQ(nested_marked.load(), 32);
+  EXPECT_FALSE(ThreadPool::InParallelTask());  // cleared on the caller
+  // One task, or a pool without workers, is a single stream.
+  std::atomic<int> single_marked{0};
+  pool.RunTasks(1, [&](uint32_t) {
+    if (ThreadPool::InParallelTask()) ++single_marked;
+  });
+  no_workers.RunTasks(4, [&](uint32_t) {
+    if (ThreadPool::InParallelTask()) ++single_marked;
+  });
+  EXPECT_EQ(single_marked.load(), 0);
+}
+
 TEST(ThreadPoolTest, NestedRunTasksDoesNotDeadlock) {
   // Inner calls on a saturated pool must complete on the calling threads.
   ThreadPool pool(2);

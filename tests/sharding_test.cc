@@ -4,21 +4,31 @@
 // failure-isolation + repair contract.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <functional>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "algorithms/registry.h"
 #include "core/distance.h"
 #include "core/file_io.h"
+#include "core/parallel.h"
 #include "core/status.h"
+#include "core/thread_pool.h"
 #include "core/topk_merge.h"
 #include "fault_injection.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "search/serving.h"
 #include "shard/manifest.h"
 #include "shard/partitioner.h"
+#include "shard/scatter_gather.h"
 #include "shard/sharded_index.h"
 #include "test_util.h"
 
@@ -612,21 +622,217 @@ TEST(ShardedFanOutPinTest, BuiltNsg) {
                   {0xb9bf93a878a2bc5dULL, 0x0d5e0dad36c229e9ULL});
 }
 
-TEST(ShardedFanOutPinTest, ReloadedWithOneDegradedShard) {
+// A 4-shard Sharded:HNSW saved under `name`, with one bit flipped in shard
+// 2's graph file, reloaded: shard 2 serves the exact-scan fallback.
+std::unique_ptr<ShardedIndex> LoadWithDegradedShard2(const char* name) {
   const TestWorkload& tw = SharedWorkload();
   auto built = CreateAlgorithm("Sharded:HNSW", ShardedOptions(4));
   built->Build(tw.workload.base);
-  const std::string prefix = TempPath("fan_out_degraded");
-  ASSERT_TRUE(dynamic_cast<ShardedIndex*>(built.get())->Save(prefix).ok());
+  const std::string prefix = TempPath(name);
+  EXPECT_TRUE(dynamic_cast<ShardedIndex*>(built.get())->Save(prefix).ok());
   const std::string bad_path = prefix + ".shard2.wvs";
-  ASSERT_TRUE(
+  EXPECT_TRUE(
       WriteStringToFile(FlipBit(MustRead(bad_path), 321), bad_path).ok());
   auto loaded_or = ShardedIndex::Load(prefix + ".manifest", tw.workload.base);
-  ASSERT_TRUE(loaded_or.ok()) << loaded_or.status().ToString();
-  ASSERT_EQ((*loaded_or)->num_degraded_shards(), 1u);
-  ExpectFanOutPin(**loaded_or,
-                  {0xa0a281cdf151235cULL, 0x2b0ef4acfb330f5cULL},
+  EXPECT_TRUE(loaded_or.ok()) << loaded_or.status().ToString();
+  if (!loaded_or.ok()) return nullptr;
+  return std::move(*loaded_or);
+}
+
+TEST(ShardedFanOutPinTest, ReloadedWithOneDegradedShard) {
+  std::unique_ptr<ShardedIndex> loaded =
+      LoadWithDegradedShard2("fan_out_degraded");
+  ASSERT_NE(loaded, nullptr);
+  ASSERT_EQ(loaded->num_degraded_shards(), 1u);
+  ExpectFanOutPin(*loaded, {0xa0a281cdf151235cULL, 0x2b0ef4acfb330f5cULL},
                   /*hash_metrics=*/true);
+}
+
+// ------------------------------------------------- trace pin
+//
+// A traced sharded query records every leg's events (seeds, expansions,
+// kShardFallback for the exact-scan shard, kShardSearch) in shard order,
+// whatever order the legs ran in. Each query folds its ids and stats, every
+// (kind, id, value) event and the sink's dropped count into its own FNV-1a
+// hash; the run hash folds those in query order. The pins were recorded
+// from the sequential fan-out, before the legs ran in parallel.
+
+// Holds every event of one query (about 160 here). The 128-, 64- and
+// 16-event sinks overflow on every query, in leg 3, leg 1 and leg 0, so the
+// dropped count and the events kept around it are pinned too; 16 is fewer
+// than one leg records, so a leg's own sink overflows as well.
+constexpr size_t kFullTrace = 4096;
+
+struct TracePin {
+  size_t capacity;
+  uint64_t hash;
+};
+
+constexpr TracePin kTracePins[] = {
+    {kFullTrace, 0x141c41a1cfe5df2fULL},
+    {128, 0x9d94d8be35d6006eULL},
+    {64, 0x34c53c6253d2722bULL},
+    {16, 0xeaad2e0410a18d7bULL}};
+
+uint64_t HashTracedQuery(const ShardedIndex& index, SearchScratch& scratch,
+                         const float* query, size_t capacity) {
+  SearchParams params;
+  params.k = 10;
+  params.pool_size = 40;
+  TraceSink sink(capacity);
+  scratch.ctx.trace = &sink;
+  QueryStats stats;
+  const std::vector<uint32_t> ids =
+      index.SearchWith(scratch, query, params, &stats);
+  scratch.ctx.trace = nullptr;
+  if (capacity < kFullTrace) {
+    EXPECT_GT(sink.dropped(), 0u);
+  } else {
+    EXPECT_EQ(sink.dropped(), 0u);
+    EXPECT_EQ(sink.CountOf(TraceEventKind::kShardFallback), 1u);
+  }
+  Fnv hash;
+  hash.Query(ids, stats);
+  for (const TraceEvent& event : sink.events()) {
+    hash.Add(static_cast<uint64_t>(event.kind));
+    hash.Add(event.id);
+    hash.Add(event.value);
+  }
+  hash.Add(sink.dropped());
+  return hash.value();
+}
+
+// Traces every workload query from `num_threads` threads sharing `index`,
+// each on its own scratch (thread t takes queries t, t + num_threads, ...),
+// and folds the per-query hashes in query order.
+uint64_t HashTraces(const ShardedIndex& index, size_t capacity,
+                    uint32_t num_threads) {
+  const Dataset& queries = SharedWorkload().workload.queries;
+  std::vector<uint64_t> per_query(queries.size());
+  const auto run = [&](uint32_t t) {
+    SearchScratch scratch;
+    for (uint32_t q = t; q < queries.size(); q += num_threads) {
+      per_query[q] = HashTracedQuery(index, scratch, queries.Row(q), capacity);
+    }
+  };
+  std::vector<std::thread> threads;
+  for (uint32_t t = 1; t < num_threads; ++t) threads.emplace_back(run, t);
+  run(0);
+  for (std::thread& thread : threads) thread.join();
+  Fnv hash;
+  for (uint64_t h : per_query) hash.Add(h);
+  return hash.value();
+}
+
+TEST(ShardedTracePinTest, DegradedShardTraceIsPinnedAtOneAndFourThreads) {
+  std::unique_ptr<ShardedIndex> loaded = LoadWithDegradedShard2("trace_pin");
+  ASSERT_NE(loaded, nullptr);
+  ASSERT_EQ(loaded->num_degraded_shards(), 1u);
+  for (const TracePin& pin : kTracePins) {
+    for (uint32_t threads : {1u, 4u}) {
+      EXPECT_EQ(HashTraces(*loaded, pin.capacity, threads), pin.hash)
+          << "capacity " << pin.capacity << ", " << threads << " threads";
+    }
+  }
+}
+
+// ------------------------------------------------- fan-out schedule
+//
+// Legs may run in any order, but a failure is reported as a sequential run
+// would report it: the lowest failing shard's exception, with the trace of
+// the legs up to it, and only once every leg that ran has finished (no leg
+// still runs on the caller's scratch).
+
+// Runs `body` as one task of a two-task batch on the shared pool: one of
+// several parallel streams, where ScatterGather runs its legs inline.
+void RunAsOneOfTwoStreams(const std::function<void()>& body) {
+  ParallelFor(0, 2, 2, [&](uint32_t task) {
+    EXPECT_TRUE(ThreadPool::InParallelTask());
+    if (task == 0) body();
+  });
+}
+
+TEST(ScatterGatherTest, LowestFailingLegIsRethrownAfterEveryLegFinishes) {
+  SearchParams params;
+  params.k = 4;
+  for (bool inline_legs : {false, true}) {
+    SearchScratch scratch;
+    for (int repeat = 0; repeat < 200; ++repeat) {
+      std::atomic<uint32_t> finished{0};
+      TraceSink sink;
+      scratch.ctx.trace = &sink;
+      const ShardLeg leg = [&](uint32_t s, SearchScratch& leg_scratch,
+                               const SearchParams&, QueryStats*) {
+        // Leg 3 fails at once and leg 1 late, so under fan-out leg 3's
+        // error is usually the first one thrown.
+        if (s == 1) std::this_thread::sleep_for(std::chrono::microseconds(20));
+        leg_scratch.ctx.trace->Record(TraceEventKind::kShardSearch, s);
+        finished.fetch_add(1);
+        if (s == 1) throw std::runtime_error("leg 1");
+        if (s == 3) throw std::logic_error("leg 3");
+        return std::vector<ScoredId>{ScoredId(static_cast<float>(s), s)};
+      };
+      const auto search = [&] {
+        try {
+          ScatterGather(4, scratch, params, nullptr, leg);
+          ADD_FAILURE() << "no exception, repeat " << repeat;
+        } catch (const std::runtime_error& error) {
+          EXPECT_STREQ(error.what(), "leg 1") << "repeat " << repeat;
+        } catch (const std::logic_error& error) {
+          ADD_FAILURE() << "got " << error.what() << ", repeat " << repeat;
+        }
+      };
+      if (inline_legs) {
+        RunAsOneOfTwoStreams(search);
+      } else {
+        search();
+      }
+      // Fanned-out legs cannot be cancelled, so all four ran; inline legs
+      // stop at leg 1's failure.
+      EXPECT_EQ(finished.load(), inline_legs ? 2u : 4u)
+          << "repeat " << repeat;
+      ASSERT_EQ(sink.events().size(), 2u) << "repeat " << repeat;
+      EXPECT_EQ(sink.events()[0].id, 0u);
+      EXPECT_EQ(sink.events()[1].id, 1u);
+      scratch.ctx.trace = nullptr;
+    }
+  }
+}
+
+TEST(ScatterGatherTest, SearchInsideParallelForMatchesTopLevel) {
+  // No schedule dependence: a sharded search run from inside a
+  // multi-stream ParallelFor task, whose legs run inline, gives the ids and
+  // stats of a top-level call, whose legs fan out.
+  const TestWorkload& tw = SharedWorkload();
+  auto index = CreateAlgorithm("Sharded:HNSW", ShardedOptions(4));
+  index->Build(tw.workload.base);
+  const Dataset& queries = tw.workload.queries;
+  for (uint64_t budget : {uint64_t{0}, kFanOutBudget}) {
+    SearchParams params;
+    params.k = 10;
+    params.pool_size = 40;
+    params.max_distance_evals = budget;
+    std::vector<std::vector<uint32_t>> expected_ids(queries.size());
+    std::vector<QueryStats> expected_stats(queries.size());
+    SearchScratch top;
+    for (uint32_t q = 0; q < queries.size(); ++q) {
+      expected_ids[q] = index->SearchWith(top, queries.Row(q), params,
+                                          &expected_stats[q]);
+    }
+    std::vector<std::vector<uint32_t>> ids(queries.size());
+    std::vector<QueryStats> stats(queries.size());
+    ParallelFor(0, queries.size(), 4, [&](uint32_t q) {
+      EXPECT_TRUE(ThreadPool::InParallelTask());
+      SearchScratch scratch;
+      ids[q] = index->SearchWith(scratch, queries.Row(q), params, &stats[q]);
+    });
+    for (uint32_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(ids[q], expected_ids[q]) << "query " << q;
+      EXPECT_EQ(stats[q].distance_evals, expected_stats[q].distance_evals);
+      EXPECT_EQ(stats[q].hops, expected_stats[q].hops);
+      EXPECT_EQ(stats[q].truncated, expected_stats[q].truncated);
+    }
+  }
 }
 
 // ------------------------------------------------- serving integration
